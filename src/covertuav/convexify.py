@@ -891,7 +891,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     g5_grad = (2.0 / var_w) * dw_t                       # (N, 2)
     g5_const = lam_t - np.einsum("ni,ni->n", g5_grad, q_t)
 
-    free = np.array([lay.qx[i] >= 0 for i in range(n)])
+    free = lay.qx >= 0
     free_slots = np.nonzero(free)[0]
     fixed_slots = np.nonzero(~free)[0]
 
@@ -1027,15 +1027,13 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     obj[lay.r] = -1.0 / n
 
     scale = np.ones(lay.n_var)
-    for i in range(n):
-        if lay.qx[i] >= 0:
-            scale[lay.qx[i]] = scale[lay.qy[i]] = 100.0
-        scale[lay.p[i]] = max(cfg.p_avg_max, 1e-9)
-        scale[lay.r[i]] = 1.0
-        scale[lay.y1[i]] = max(eps2, 1.0)
-        scale[lay.z1[i]] = max(math.sqrt(2.0) * eps2, 1.0)
-        scale[lay.u1[i]] = max(float(np.median(u1_t)), 1e-6)
-        scale[lay.u2[i]] = max(float(np.median(lam_t)) + 1.0, 1.0)
+    scale[lay.qx[free]] = scale[lay.qy[free]] = 100.0
+    scale[lay.p] = max(cfg.p_avg_max, 1e-9)
+    scale[lay.r] = 1.0
+    scale[lay.y1] = max(eps2, 1.0)
+    scale[lay.z1] = max(math.sqrt(2.0) * eps2, 1.0)
+    scale[lay.u1] = max(float(np.median(u1_t)), 1e-6)
+    scale[lay.u2] = max(float(np.median(lam_t)) + 1.0, 1.0)
 
     sub = ConvexSubproblem(
         layout=lay, obj_coef=obj, families=families, start=np.zeros(lay.n_var),
@@ -1093,10 +1091,9 @@ def _start_candidates(exp, cfg, lay, c1, c2, base_a, dist2b_t, s_b, a_b):
 
     def make(y1, z1, u2, r_vals):
         v = np.zeros(lay.n_var)
-        for i in range(n):
-            if lay.qx[i] >= 0:
-                v[lay.qx[i]] = exp.traj_tilde.waypoints[i, 0]
-                v[lay.qy[i]] = exp.traj_tilde.waypoints[i, 1]
+        free = lay.qx >= 0
+        v[lay.qx[free]] = exp.traj_tilde.waypoints[free, 0]
+        v[lay.qy[free]] = exp.traj_tilde.waypoints[free, 1]
         v[lay.p] = p_start
         v[lay.r] = r_vals
         v[lay.y1] = y1

@@ -10,11 +10,16 @@ budget row.
 The barrier parameter follows the classical path: damped Newton centering with
 a feasibility-then-Armijo backtracking line search, geometric shrink of mu,
 and a duality-gap stop at m * mu. Iterates stay strictly feasible throughout.
-Newton systems use dense Cholesky with a symmetric-indefinite fallback; when
-every nonlinear residual has a narrow variable support, an equivalent banded
-factorization plus a Woodbury correction for the wide linear rows is used,
-which is what keeps 300-slot instances fast. Everything is deterministic:
-no randomized pivoting, no restarts.
+When every nonlinear residual has a narrow variable support, each Newton
+system is a banded Cholesky solve plus a Woodbury correction for the wide
+linear rows, which keeps the cost per step linear in the number of slots.
+A factorization that fails to round-off is retried on a ridge ladder (a
+growing multiple of the identity added to the diagonal) in the same banded
+form; there is no dense fallback. Dense Cholesky, with the same ladder, serves
+only problems without a narrow band: phase-one restoration and problems with
+fewer than 64 variables. Gradient and Hessian entries are scattered with one
+precomputed index per solve. Everything is deterministic: no randomized
+pivoting, no restarts.
 """
 
 from __future__ import annotations
@@ -111,8 +116,28 @@ class _Work:
         self.band = band
         self.banded_ok = banded_ok and self.d >= 64 and band <= settings.band_limit
         self.s_gath = [self.scale[f.idx] for f in self.families]
-        self._dense_targets: dict[int, np.ndarray] = {}
-        self._band_targets: dict[int, tuple] = {}
+
+        # one scatter index per solve: np.bincount adds its weights in index
+        # order, the order np.add.at would take them family by family
+        live = [fi for fi, f in enumerate(self.families) if f.m]
+        self.grad_index = np.concatenate(
+            [np.arange(self.d)] + [self.families[fi].idx.ravel() for fi in live])
+        hess_parts = [np.zeros(0, dtype=np.int64)]
+        for fi in live:
+            if self.banded_ok and fi in self.wide:
+                continue  # low-rank dyads, not band entries
+            idx = self.families[fi].idx
+            ii, jj = idx[:, :, None], idx[:, None, :]
+            if self.banded_ok:
+                # upper band storage; lower-triangle entries go to one
+                # trailing bin that is dropped after the scatter
+                tgt = np.where(ii <= jj, (band + ii - jj) * self.d + jj,
+                               (band + 1) * self.d)
+            else:
+                tgt = ii * self.d + jj
+            hess_parts.append(tgt.ravel())
+        self.hess_index = np.concatenate(hess_parts)
+        self.hess_size = (band + 1) * self.d if self.banded_ok else self.d * self.d
 
     def values(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
@@ -122,25 +147,18 @@ class _Work:
             pos += f.m
         return np.nan_to_num(out, nan=np.inf)
 
-    def dense_targets(self, fi: int) -> np.ndarray:
-        tgt = self._dense_targets.get(fi)
-        if tgt is None:
-            idx = self.families[fi].idx
-            tgt = (idx[:, :, None] * self.d + idx[:, None, :]).ravel()
-            self._dense_targets[fi] = tgt
-        return tgt
+    def gradient(self, rows: list) -> np.ndarray:
+        """c_w plus the per-family (m, k) gradient rows, scattered in one pass."""
+        w = np.concatenate([self.c_w, *(r.ravel() for r in rows)])
+        return np.bincount(self.grad_index, w, minlength=self.d)
 
-    def band_targets(self, fi: int):
-        tgt = self._band_targets.get(fi)
-        if tgt is None:
-            idx = self.families[fi].idx
-            ii = idx[:, :, None]
-            jj = idx[:, None, :]
-            mask = (ii <= jj).ravel()
-            flat = ((self.band + ii - jj) * self.d + jj).ravel()[mask]
-            self._band_targets[fi] = (flat, mask)
-            tgt = (flat, mask)
-        return tgt
+    def hessian(self, blocks: list) -> np.ndarray:
+        """Flat banded (or dense) Hessian from per-family (m, k, k) blocks.
+
+        Blocks come in family order; the banded path leaves out wide families.
+        """
+        w = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
+        return np.bincount(self.hess_index, w, minlength=self.hess_size)[:self.hess_size]
 
     def objective_w(self, v: np.ndarray) -> float:
         return float(self.c_w @ (v / self.scale))
@@ -151,7 +169,6 @@ def _eval_pieces(work: _Work, v: np.ndarray, mu: float):
 
     Returns (g, pieces) or (None, worst_value) when v is not strictly interior.
     """
-    g = work.c_w.copy()
     pieces = []
     for fi, f in enumerate(work.families):
         if f.m == 0:
@@ -162,9 +179,8 @@ def _eval_pieces(work: _Work, v: np.ndarray, mu: float):
             return None, float(np.max(vals))
         w2 = mu / (-vals)
         G_w = f.grads(V) * work.s_gath[fi]
-        np.add.at(g, f.idx.ravel(), (G_w * w2[:, None]).ravel())
         pieces.append((fi, V, vals, G_w, w2))
-    return g, pieces
+    return work.gradient([G_w * w2[:, None] for _, _, _, G_w, w2 in pieces]), pieces
 
 
 def _phi(work: _Work, v: np.ndarray, mu: float) -> float:
@@ -176,69 +192,79 @@ def _phi(work: _Work, v: np.ndarray, mu: float) -> float:
 
 
 def _newton_direction(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
-    d = work.d
     if work.banded_ok:
-        try:
-            return _newton_banded(work, pieces, g, mu)
-        except (sla.LinAlgError, np.linalg.LinAlgError, ValueError):
-            pass
+        return _newton_banded(work, pieces, g, mu)
     return _newton_dense(work, pieces, g, mu)
+
+
+def _hess_block(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> np.ndarray:
+    """Barrier Hessian blocks (m, k, k) of one family, scaled coordinates."""
+    f = work.families[fi]
+    blocks = (mu / (vals * vals))[:, None, None] * np.einsum("mi,mj->mij", G_w, G_w)
+    if not f.is_linear:
+        s = work.s_gath[fi]
+        blocks = blocks + w2[:, None, None] * (f.hess(V) * s[:, :, None] * s[:, None, :])
+    return blocks
+
+
+def _ridge_ladder(solve_shifted, diag: np.ndarray) -> np.ndarray:
+    """solve_shifted(ridge) for the first ridge whose factorization succeeds.
+
+    The first rung is ridge-free; then 1e-14 * max|diag|, times 100 per rung,
+    six rungs in all (Nocedal & Wright, Numerical Optimization, 3.4).
+    """
+    ridge = 0.0
+    for _ in range(6):
+        try:
+            return solve_shifted(ridge)
+        except np.linalg.LinAlgError:
+            ridge = max(ridge * 100.0, 1e-14 * (float(np.max(np.abs(diag))) or 1.0))
+    raise np.linalg.LinAlgError(
+        f"Newton system not positive definite up to ridge {ridge / 100.0:.3e}")
 
 
 def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
     d, u = work.d, work.band
-    ab = np.zeros((u + 1) * d)
-    dyad_cols: list[np.ndarray] = []
-    for fi, V, vals, G_w, w2 in pieces:
-        f = work.families[fi]
-        if fi in work.wide:
-            # H contribution mu * G G^T / c^2 == a a^T, a = sqrt(mu) G / |c|
-            coef = np.sqrt(mu) / (-vals)
-            for r in range(f.m):
-                a = np.zeros(d)
-                a[f.idx[r]] = coef[r] * G_w[r]
-                dyad_cols.append(a)
+    blocks, dyad_cols = [], []
+    for piece in pieces:
+        fi, _, vals, G_w, _ = piece
+        if fi not in work.wide:
+            blocks.append(_hess_block(work, mu, *piece))
             continue
-        w1 = mu / (vals * vals)
-        blocks = w1[:, None, None] * np.einsum("mi,mj->mij", G_w, G_w)
-        if not f.is_linear:
-            s = work.s_gath[fi]
-            blocks = blocks + w2[:, None, None] * (f.hess(V) * s[:, :, None] * s[:, None, :])
-        flat, mask = work.band_targets(fi)
-        np.add.at(ab, flat, blocks.ravel()[mask])
-    ab = ab.reshape(u + 1, d)
-    if dyad_cols:
-        A = np.stack(dyad_cols, axis=1)
-        B = np.column_stack([-g, A])
-        X = sla.solveh_banded(ab, B, lower=False)
+        # H contribution mu * G G^T / c^2 == a a^T, a = sqrt(mu) G / |c|
+        f = work.families[fi]
+        coef = np.sqrt(mu) / (-vals)
+        for r in range(f.m):
+            a = np.zeros(d)
+            a[f.idx[r]] = coef[r] * G_w[r]
+            dyad_cols.append(a)
+    ab = work.hessian(blocks).reshape(u + 1, d)
+    A = np.stack(dyad_cols, axis=1) if dyad_cols else None
+
+    def solve_shifted(ridge):
+        shifted = ab
+        if ridge:
+            shifted = ab.copy()
+            shifted[u] += ridge  # row u of upper band storage is the diagonal
+        if A is None:
+            return sla.solveh_banded(shifted, -g, lower=False)
+        X = sla.solveh_banded(shifted, np.column_stack([-g, A]), lower=False)
         x0, Y = X[:, 0], X[:, 1:]
         Mk = np.eye(A.shape[1]) + A.T @ Y
         return x0 - Y @ np.linalg.solve(Mk, A.T @ x0)
-    return sla.solveh_banded(ab, -g, lower=False)
+
+    return _ridge_ladder(solve_shifted, ab[u])
 
 
 def _newton_dense(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
     d = work.d
-    H = np.zeros(d * d)
-    for fi, V, vals, G_w, w2 in pieces:
-        f = work.families[fi]
-        w1 = mu / (vals * vals)
-        blocks = w1[:, None, None] * np.einsum("mi,mj->mij", G_w, G_w)
-        if not f.is_linear:
-            s = work.s_gath[fi]
-            blocks = blocks + w2[:, None, None] * (f.hess(V) * s[:, :, None] * s[:, None, :])
-        np.add.at(H, work.dense_targets(fi), blocks.ravel())
-    H = H.reshape(d, d)
-    dmax = float(np.max(np.abs(np.diag(H)))) or 1.0
-    ridge = 0.0
-    for _ in range(6):
-        try:
-            M = H if ridge == 0.0 else H + ridge * np.eye(d)
-            cf = sla.cho_factor(M, lower=True)
-            return sla.cho_solve(cf, -g)
-        except (sla.LinAlgError, np.linalg.LinAlgError):
-            ridge = max(ridge * 100.0, 1e-14 * dmax)
-    return sla.solve(H + ridge * np.eye(d), -g, assume_a="sym")
+    H = work.hessian([_hess_block(work, mu, *piece) for piece in pieces]).reshape(d, d)
+
+    def cholesky(ridge):
+        M = H if ridge == 0.0 else H + ridge * np.eye(d)
+        return sla.cho_solve(sla.cho_factor(M, lower=True), -g)
+
+    return _ridge_ladder(cholesky, np.diag(H))
 
 
 def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
@@ -332,17 +358,15 @@ def _gap_target(work: _Work, v: np.ndarray, settings: SolverSettings) -> float:
 
 
 def _stationarity(work: _Work, v: np.ndarray, duals: np.ndarray) -> float:
-    g = work.c_w.copy()
+    rows = []
     pos = 0
     for fi, f in enumerate(work.families):
         if f.m == 0:
             continue
-        V = v[f.idx]
-        G_w = f.grads(V) * work.s_gath[fi]
-        lam = duals[pos:pos + f.m]
-        np.add.at(g, f.idx.ravel(), (G_w * lam[:, None]).ravel())
+        G_w = f.grads(v[f.idx]) * work.s_gath[fi]
+        rows.append(G_w * duals[pos:pos + f.m, None])
         pos += f.m
-    return float(np.max(np.abs(g)))
+    return float(np.max(np.abs(work.gradient(rows))))
 
 
 def solve(problem, start: np.ndarray | None = None,

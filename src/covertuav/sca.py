@@ -206,6 +206,11 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
     Rates then come from the outage inequality in closed form with the slack
     variables at their inflated floors.
     """
+    for name in ("p_avg_max", "p_peak_max"):
+        if getattr(cfg, name) == 0.0:
+            raise InfeasibleScenarioError(
+                f"zero power budget ({name} = 0 W): without transmit power no "
+                f"rate at or above the floor {RATE_FLOOR:g} bits/s/Hz is feasible")
     traj = line_segment_trajectory(cfg)
     model = DetectionModel.from_config(cfg)
     lam = lambda_of(traj.waypoints, cfg.willie_est, cfg.var_willie)

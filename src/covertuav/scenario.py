@@ -96,7 +96,7 @@ class ScenarioConfig:
     p_avg_max: float              # W, average transmit power cap
     p_peak_max: float             # W, per-slot transmit power cap
     noise_nominal: float          # W, warden nominal noise power
-    noise_uncertainty_rho: float  # linear spread of warden noise, >= 1
+    noise_uncertainty_rho: float  # linear spread of warden noise, > 1
     rho_b: float                  # allowed transmission outage probability
     rho_w: float                  # allowed covertness slack (error rate >= 1 - rho_w)
     sca_tolerance: float = 1e-4   # outer-loop objective convergence tolerance
@@ -122,8 +122,11 @@ class ScenarioConfig:
             raise ScenarioError("altitude_H must be positive")
         if self.v_max <= 0:
             raise ScenarioError("v_max must be positive")
-        if self.noise_uncertainty_rho < 1.0:
-            raise ScenarioError("noise_uncertainty_rho must be >= 1 (linear)")
+        if not self.noise_uncertainty_rho > 1.0:
+            raise ScenarioError(
+                f"noise_uncertainty_rho must exceed 1 (0 dB), got "
+                f"{self.noise_uncertainty_rho}: a warden without noise uncertainty "
+                "detects any positive transmit power, so no covert plan exists")
         for name in ("rho_b", "rho_w"):
             p = getattr(self, name)
             if not 0.0 < p < 1.0:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from covertuav import cvxsolver
 from covertuav.convexify import LinearFamily, ResidualFamily
 from covertuav.cvxsolver import (
     BarrierProblem,
@@ -198,6 +199,63 @@ class TestRobustness:
         rb = solve(sub, settings=SolverSettings())
         rd = solve(sub, settings=SolverSettings(band_limit=0))
         assert rb.objective == pytest.approx(rd.objective, rel=1e-6, abs=1e-9)
+
+    def test_banded_ridge_ladder_needs_no_dense_fallback(self, monkeypatch):
+        # the last of 64 variables sits in no residual row, so its band
+        # diagonal is exactly zero and the ridge-free factorization fails
+        d = 64
+        lo, hi = np.full(d, -1.0), np.full(d, 1.0)
+        lo[-1], hi[-1] = -np.inf, np.inf
+        fams = [box_family(lo, hi),
+                LinearFamily(np.array([[i, i + 1] for i in range(d - 2)]),
+                             np.tile([1.0, -1.0], (d - 2, 1)), np.full(d - 2, -1.5),
+                             "chain", [f"chain[{i}]" for i in range(d - 2)])]
+        prob = BarrierProblem(-np.ones(d), fams, np.zeros(d), np.ones(d))
+        work = _Work(prob, SolverSettings())
+        assert work.banded_ok
+
+        outcomes = []
+        solveh_banded = cvxsolver.sla.solveh_banded
+
+        def recorded(*args, **kwargs):
+            try:
+                out = solveh_banded(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                outcomes.append("failed")
+                raise
+            outcomes.append("solved")
+            return out
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense Newton system on a banded problem")
+
+        monkeypatch.setattr(cvxsolver.sla, "solveh_banded", recorded)
+        monkeypatch.setattr(cvxsolver, "_newton_dense", no_dense)
+        g, pieces = _eval_pieces(work, prob.start, 0.1)
+        p = _newton_direction(work, pieces, g, 0.1)
+        assert outcomes[0] == "failed" and outcomes[-1] == "solved"
+        assert np.all(np.isfinite(p))
+        assert float(g @ p) < 0.0
+
+    def test_study_run_stays_banded(self, monkeypatch):
+        # T = 210 s is the study point where the ridge-free banded
+        # factorization fails to round-off on some Newton steps
+        from covertuav.scenario import baseline_config
+        from covertuav.sca import run_jtp, run_stp
+
+        dense_calls = []
+        newton_dense = cvxsolver._newton_dense
+
+        def counted(*args, **kwargs):
+            dense_calls.append(1)
+            return newton_dense(*args, **kwargs)
+
+        monkeypatch.setattr(cvxsolver, "_newton_dense", counted)
+        cfg = baseline_config(flight_period_T=210.0)
+        plan, trace = run_jtp(cfg)
+        assert not dense_calls
+        assert trace.stop_reason == "converged"
+        assert plan.actr >= run_stp(cfg)[0].actr
 
     def test_merit_monotone_along_accepted_steps(self):
         # drive one centering by hand and watch the barrier merit

@@ -246,3 +246,11 @@ class TestInfeasibleScenario:
         )
         with pytest.raises(InfeasibleScenarioError):
             initial_point(cfg)
+
+    @pytest.mark.parametrize("budget", ["p_avg_max", "p_peak_max"])
+    def test_zero_power_budget_named(self, budget):
+        cfg = baseline_config(flight_period_T=200.0, **{budget: 0.0})
+        for runner in (run_jtp, run_stp):
+            with pytest.raises(InfeasibleScenarioError,
+                               match=f"zero power budget \\({budget} = 0 W\\)"):
+                runner(cfg)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("noise_uncertainty_rho", 0.5),
+        ("noise_uncertainty_rho", 1.0),
         ("rho_b", 0.0),
         ("rho_w", 1.0),
         ("altitude_H", -1.0),
@@ -90,8 +93,14 @@ class TestConfig:
         ("var_bob", 0.0),
     ])
     def test_invariants_rejected(self, field, value):
-        with pytest.raises(ScenarioError):
-            baseline_config(**{field: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic warns
+            with pytest.raises(ScenarioError):
+                baseline_config(**{field: value})
+
+    def test_zero_db_noise_uncertainty_reason(self):
+        with pytest.raises(ScenarioError, match="without noise uncertainty"):
+            baseline_config(noise_uncertainty_rho=1.0)
 
     def test_immutable(self, cfg):
         with pytest.raises(Exception):
