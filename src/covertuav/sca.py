@@ -176,6 +176,12 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 # initial feasible point
 # ---------------------------------------------------------------------------
 
+def _u2_start(lam: np.ndarray) -> np.ndarray:
+    """Tangent-bound slack of the start: just below lam + 1, so the affine
+    covertness row F is strict."""
+    return np.maximum((lam + 1.0) * (1.0 - 1e-8), 2.0 * U_FLOOR)
+
+
 def _covert_start_ok(p: float, lam: np.ndarray, model: DetectionModel,
                      rho_w: float) -> bool:
     """Does uniform power p leave the covertness rows strictly satisfiable?
@@ -184,17 +190,28 @@ def _covert_start_ok(p: float, lam: np.ndarray, model: DetectionModel,
     ln(1 + beta1 p / (lam + 2 + H^2/var)), tangent-bound slack at lam + 1):
     the assembled residual D with a 1e-6 margin, residual E with a 1e-7
     margin (it degenerates when the log reaches 1, which lax covertness
-    levels allow), and the exact error-rate bound itself. Each piece is
-    monotone in p across the admissible power range, so bisection applies.
+    levels allow), and the exact error-rate bound itself. The start slacks
+    differ from these (the auxiliary variable is floored, the tangent-bound
+    slack sits 1e-8 below lam + 1), which moves D by about
+    5e-9 k_w sqrt(lam + 1): at the baseline's k_w, more than the 1e-6 margin
+    once lam passes about 5e6. So D is also checked at the start slacks
+    themselves, with a margin of 1e-9 of its largest term for rounding. Each
+    piece is monotone in p across the admissible power range, so bisection
+    applies.
     """
     ln_a = np.log1p(model.beta1 * p / (lam + 2.0 + model.h2_over_var))
     ln_b = np.log1p(model.beta1 * model.var_willie * p / model.altitude_H**2)
     c = math.sqrt(math.pi / 2.0) * np.sqrt(lam + 1.0)
-    rhs = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w * np.sqrt(lam + 1.0)
+    k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w
+    rhs = k_w * np.sqrt(lam + 1.0)
     res_d = float(np.max((c - 1.0) * np.sqrt(ln_a) + ln_b - rhs))
+    u1 = np.maximum(ln_a, 2.0 * U_FLOOR)
+    res_d_start = float(np.max(
+        (c - 1.0) * np.sqrt(u1) + ln_b - k_w * np.sqrt(_u2_start(lam))))
     res_e = float(np.max(ln_a - np.sqrt(ln_a)))
     exact = float(np.max((1.0 - rho_w) - xi_lower_bound(lam, p, model)))
-    return res_d <= -1e-6 and res_e <= -1e-7 and exact <= -1e-9
+    return (res_d <= -1e-6 and res_d_start <= -1e-9 * max(1.0, float(np.max(rhs)))
+            and res_e <= -1e-7 and exact <= -1e-9)
 
 
 def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
@@ -211,12 +228,20 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
             raise InfeasibleScenarioError(
                 f"zero power budget ({name} = 0 W): without transmit power no "
                 f"rate at or above the floor {RATE_FLOOR:g} bits/s/Hz is feasible")
+    budget = min(("p_avg_max", cfg.p_avg_max), ("p_peak_max", cfg.p_peak_max),
+                 key=lambda item: item[1])
+    budget_text = f"{budget[0]} = {budget[1]:g} W"
+    p_cap = budget[1] * (1.0 - 1e-6)
+    if p_cap < 2.0 * P_FLOOR:
+        # the subproblem keeps every power above P_FLOOR and starts at 2 P_FLOOR
+        raise InfeasibleScenarioError(
+            f"power budget below the planner's power floor ({budget_text}; "
+            f"the planner needs more than {2.0 * P_FLOOR:g} W)")
     traj = line_segment_trajectory(cfg)
     model = DetectionModel.from_config(cfg)
     lam = lambda_of(traj.waypoints, cfg.willie_est, cfg.var_willie)
     n = cfg.num_slots_N
 
-    p_cap = min(cfg.p_avg_max, cfg.p_peak_max) * (1.0 - 1e-6)
     if _covert_start_ok(p_cap, lam, model, cfg.rho_w):
         p0 = p_cap
     else:
@@ -230,11 +255,13 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
         p0 = lo
     if p0 < POWER_FLOOR_INIT:
         # raise to the nominal floor only when the floor itself stays covert
-        # (tight wardens can pin the admissible uniform power below it)
+        # (tight wardens can pin the admissible uniform power below it), and
+        # never above the power budget
         if _covert_start_ok(POWER_FLOOR_INIT, lam, model, cfg.rho_w):
-            p0 = POWER_FLOOR_INIT
+            floor = POWER_FLOOR_INIT
         else:
-            p0 = max(p0, 100.0 * P_FLOOR)
+            floor = 100.0 * P_FLOOR
+        p0 = max(p0, min(floor, p_cap))
 
     powers = np.full(n, p0)
     u1 = np.maximum(
@@ -247,7 +274,7 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
     y1 = np.full(n, eps2 + 1e-6 * max(eps2, 1.0))
     z1 = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2_b)
     z1 = z1 + 1e-6 * np.maximum(z1, 1.0)
-    u2 = np.maximum((lam + 1.0) * (1.0 - 1e-8), 2.0 * U_FLOOR)
+    u2 = _u2_start(lam)
 
     s_b = math.sqrt(-2.0 * math.log(cfg.rho_b))
     a_b = -math.log(cfg.rho_b)
@@ -268,8 +295,10 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
     if not exact_feasible(margins, cfg):
         worst_cov = float(np.min(margins["covertness"]))
         worst_out = float(np.min(margins["outage"]))
+        # at the budget the power itself is what falls short
+        cause = f" at the power budget ({budget_text})" if p0 == p_cap else ""
         raise InfeasibleScenarioError(
-            "no feasible initial plan: worst covertness margin "
+            f"no feasible initial plan{cause}: worst covertness margin "
             f"{worst_cov:.3e}, worst outage margin {worst_out:.3e}"
         )
     return exp

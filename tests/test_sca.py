@@ -254,3 +254,36 @@ class TestInfeasibleScenario:
             with pytest.raises(InfeasibleScenarioError,
                                match=f"zero power budget \\({budget} = 0 W\\)"):
                 runner(cfg)
+
+    @pytest.mark.parametrize("budget, value, reason", [
+        ("p_avg_max", 1e-9, "no feasible initial plan at the power budget"),
+        ("p_peak_max", 1e-9, "no feasible initial plan at the power budget"),
+        ("p_peak_max", 1e-12, "power budget below the planner's power floor"),
+    ])
+    def test_tiny_power_budget_named(self, budget, value, reason):
+        # budgets under the initializer's nominal power floor
+        cfg = baseline_config(flight_period_T=200.0, **{budget: value})
+        for runner in (run_jtp, run_stp):
+            with pytest.raises(InfeasibleScenarioError) as info:
+                runner(cfg)
+            msg = str(info.value)
+            assert msg.startswith(reason)
+            assert f"({budget} = {value:g} W" in msg
+
+    def test_uniform_power_never_above_budget(self):
+        # a budget under the nominal initial floor, yet enough for the rate floor
+        cfg = baseline_config(flight_period_T=200.0, gamma0=1e10, p_avg_max=5e-9)
+        exp = initial_point(cfg)
+        assert np.all(exp.p_tilde.powers <= cfg.p_avg_max)
+        assemble_subproblem(exp, cfg, fixed_trajectory=False)
+
+
+@pytest.mark.parametrize("var_willie", [1e-6, 1e-8])
+def test_precise_warden_start_accepted_by_assembler(var_willie):
+    # at lam ~ 1e10 the start's tangent-bound slack (1e-8 below lam + 1) moves
+    # covert_D by more than the 1e-6 margin of the check at lam + 1
+    cfg = baseline_config(flight_period_T=200.0, var_willie=var_willie)
+    exp = initial_point(cfg)
+    for fixed in (False, True):
+        sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed)
+        assert np.max(sub.eval_values(sub.start)) < 0.0

@@ -1,16 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from covertuav.convexify import exact_feasibility
-from covertuav.detection import DetectionModel, lambda_of, xi_lower_bound
+from covertuav.detection import (
+    DetectionModel,
+    false_alarm,
+    lambda_of,
+    min_total_error,
+    miss_detection,
+    xi_lower_bound,
+)
 from covertuav.scenario import PowerSchedule, RateSchedule, Trajectory, baseline_config
 from covertuav.sca import Plan, run_jtp
 from covertuav.validate import (
     BoundAuditReport,
     McSettings,
+    _threshold_grid_excess,
     bound_audit,
     empirical_outage,
     empirical_willie_error,
@@ -52,6 +63,12 @@ class TestCdfOracle:
         ref = stats.ncx2.cdf(x, 2, lam) if lam > 0 else stats.chi2.cdf(x, 2)
         assert np.max(np.abs(nc_chi2_cdf(x, lam) - ref)) < 1e-12
 
+    def test_matches_reference_at_top_of_criterion6_grid(self):
+        # the rounding of the Poisson log-weights and log-terms grows with lam
+        lam = 5000.0
+        x = np.linspace(0.01, lam + 2 + 30 * math.sqrt(lam + 1), 400)
+        assert np.max(np.abs(nc_chi2_cdf(x, lam) - stats.ncx2.cdf(x, 2, lam))) < 5e-12
+
     def test_monotone_and_bounded(self, rng):
         x = np.sort(rng.uniform(0, 3000, 300))
         f = nc_chi2_cdf(x, 800.0)
@@ -63,6 +80,20 @@ class TestKsStatistic:
     def test_large_noncentrality_is_gaussian(self):
         assert ks_gaussian_approx(100.0) < 0.02
         assert ks_gaussian_approx(1600.0) < 0.005
+
+    def test_values_pinned(self):
+        # the KS statistics validate_plan reports, pinned to 1e-12
+        assert ks_gaussian_approx(100.0) == pytest.approx(0.01982534023083915, abs=1e-12)
+        assert ks_gaussian_approx(1600.0) == pytest.approx(0.00498486069959464, abs=1e-12)
+
+    def test_memory_bounded_at_top_of_criterion6_grid(self):
+        tracemalloc.start()
+        try:
+            ks_gaussian_approx(5000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
     def test_central_case_documented_poor(self):
         # at zero noncentrality the statistic is exponential and the normal
@@ -157,6 +188,78 @@ class TestEmpiricalWillieError:
             plan, tiny_cfg, McSettings(num_samples=5_000),
             grid_check_fraction=0.2, grid_points=1000)
         assert -0.05 <= excess <= 1e-9
+
+
+def brute_force_grid_excess(ew_pow, xi_closed, model, grid_points):
+    """Test oracle: max over samples of the closed-form minimum total error
+    less its minimum over every point of the threshold grid."""
+    grid = np.linspace(model.noise_low, float(np.max(ew_pow)) + model.noise_high,
+                       grid_points)
+    tot = false_alarm(grid, model)[None, :] + miss_detection(
+        grid[None, :], ew_pow[:, None], model)
+    return float(np.max(xi_closed - tot.min(axis=1)))
+
+
+@st.composite
+def grid_check_inputs(draw):
+    rho = draw(st.sampled_from([1.0, 10.0**0.3, 10.0]))
+    model = DetectionModel(rho=rho, noise_nominal=1e-15, beta0=1e-6,
+                           var_willie=25.0, altitude_H=100.0)
+    # coarse grids make the ties below land near the ends of the ramps
+    grid_points = draw(st.one_of(st.integers(2, 8), st.integers(2, 2000)))
+    # received powers relative to the nominal noise: silent, below rounding,
+    # undetectable and detectable (e + noise_low >= noise_high)
+    rel = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-9),
+        st.floats(0.0, 12.0),
+        st.floats(1.0, 1e6),
+    )
+    ew_pow = 1e-15 * np.array(draw(st.lists(rel, min_size=1, max_size=30)))
+    # ties: put the optimal threshold e + noise_low, or the top of the miss
+    # ramp e + noise_high, on a grid point, exactly or within rounding (the
+    # largest power fixes the grid, so it stays as drawn)
+    grid = np.linspace(model.noise_low, float(np.max(ew_pow)) + model.noise_high,
+                       grid_points)
+    top = int(np.argmax(ew_pow))
+    for i in draw(st.lists(st.integers(0, ew_pow.size - 1), max_size=10)):
+        edge = draw(st.sampled_from([model.noise_low, model.noise_high]))
+        e = grid[draw(st.integers(0, grid_points - 1))] - edge
+        if i != top and 0.0 <= e <= ew_pow[top]:
+            ew_pow[i] = e
+    return model, ew_pow, grid_points
+
+
+class TestThresholdGridExcess:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(grid_check_inputs())
+    def test_equals_full_grid_oracle_bitwise(self, inputs):
+        model, ew_pow, grid_points = inputs
+        _, xi = min_total_error(ew_pow, model)
+        got = _threshold_grid_excess(ew_pow, xi, model, grid_points)
+        assert got == brute_force_grid_excess(ew_pow, xi, model, grid_points)
+        # each sample's own excess on the shared grid (the others masked out
+        # by -inf), so that no sample hides behind the maximum
+        for i in range(ew_pow.size):
+            one = np.where(np.arange(ew_pow.size) == i, xi, -np.inf)
+            assert _threshold_grid_excess(ew_pow, one, model, grid_points) == \
+                brute_force_grid_excess(ew_pow, one, model, grid_points)
+
+    def test_equals_full_grid_oracle_on_plan_samples(self, small_cfg, small_plan):
+        # the cross-check's own inputs: warden samples of a converged plan at
+        # its power, a thousandth and a millionth of it
+        model = DetectionModel.from_config(small_cfg)
+        rng = np.random.default_rng(7)
+        for i, p in enumerate(small_plan.power.powers):
+            q = small_plan.trajectory.waypoints[i]
+            e_w = rng.normal(0.0, math.sqrt(small_cfg.var_willie), size=(500, 2))
+            d = q - small_cfg.willie_est - e_w
+            gain = small_cfg.beta0 / (np.sum(d * d, axis=1) + small_cfg.altitude_H**2)
+            for scale in (1.0, 1e-3, 1e-6):
+                ew_pow = gain * p * scale
+                _, xi = min_total_error(ew_pow, model)
+                assert _threshold_grid_excess(ew_pow, xi, model, 1000) == \
+                    brute_force_grid_excess(ew_pow, xi, model, 1000)
 
 
 class TestBoundAudit:
