@@ -7,7 +7,7 @@ rate by sampling the warden location error through the threshold analysis
 which the shape of the error-rate sum lets three grid points per sample find
 exactly), the distance-statistic distribution through an independent
 Poisson-mixture CDF, and the covertness bound through adaptive quadrature of
-the exact density.
+the statistic's exact density in its closed Bessel form.
 
 Sampling uses the counter-based Philox generator keyed by (seed, stream), so
 reports are reproducible across platforms and shards are independent;
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaln, ndtr
+from scipy.special import gammainc, gammaln, i0e, ndtr
 
-from .detection import DetectionModel, g_of, min_total_error, nc_chi2_pdf, g_upper
+from .detection import DetectionModel, g_of, min_total_error, g_upper
 from .scenario import ScenarioConfig
 from .sca import Plan
 
@@ -169,14 +169,24 @@ def ks_gaussian_approx(lam: float, grid_points: int = 10_000) -> float:
 # ---------------------------------------------------------------------------
 
 def mean_g_quadrature(lam: float, p: float, model: DetectionModel) -> float:
-    """E[g(X)] by adaptive quadrature of the exact density."""
+    """E[g(X)] by adaptive quadrature of the exact density.
+
+    The integrand is g_of times the closed form of ``nc_chi2_pdf``, written
+    out on scalars with its constants hoisted. quad calls it once per node,
+    about 100 000 times over the criterion-6 grid, and through the two
+    broadcasting functions that grid took 1.1 s instead of 0.14 s.
+    """
     if p == 0.0:
         return 0.0
+    bp, h2, s = model.beta1 * p, model.h2_over_var, math.sqrt(lam)
+
+    def integrand(x):  # quad's nodes are interior, so x > 0
+        r = math.sqrt(x)
+        d = (x - lam) / (r + s)
+        return math.log1p(bp / (x + h2)) * 0.5 * math.exp(-0.5 * d * d) * i0e(r * s)
+
     hi = lam + 2.0 + 60.0 * math.sqrt(lam + 1.0)
-    val, _ = integrate.quad(
-        lambda x: g_of(x, p, model) * nc_chi2_pdf(x, lam),
-        0.0, hi, limit=400, epsabs=1e-10, epsrel=1e-10,
-    )
+    val, _ = integrate.quad(integrand, 0.0, hi, limit=400, epsabs=1e-10, epsrel=1e-10)
     return float(val)
 
 

@@ -139,14 +139,37 @@ class TestDistanceStatistic:
         x = rng.uniform(0.0, 20.0, size=50)
         assert np.allclose(nc_chi2_pdf(x, 0.0), 0.5 * np.exp(-0.5 * x), rtol=1e-13)
 
-    @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0, 100.0])
+    def test_pdf_matches_bessel_form_pointwise(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        for lam in [0.0, 10.0, 1600.0, 5000.0, 1e5]:
+            hi = lam + 2.0 + 60.0 * math.sqrt(lam + 1.0)
+            x = np.linspace(0.0, hi, 401)
+            exact = np.array([float(
+                0.5 * mpmath.exp(-(mpmath.mpf(xi) + lam) / 2)
+                * mpmath.besseli(0, mpmath.sqrt(lam * mpmath.mpf(xi)))) for xi in x])
+            got = nc_chi2_pdf(x, lam)
+            live = exact > 1e-290
+            assert live.sum() > 100
+            assert np.all(np.abs(got[live] / exact[live] - 1.0) <= 1e-12), lam
+            assert np.all(got[~live] <= 1e-289)
+            assert nc_chi2_pdf(0.0, lam) == pytest.approx(0.5 * math.exp(-0.5 * lam),
+                                                          rel=1e-12)
+        assert np.all(nc_chi2_pdf(np.array([-1e-300, -1.0, -1e6]), 10.0) == 0.0)
+        assert nc_chi2_pdf(-2.0, 0.0) == 0.0
+        val = nc_chi2_pdf(3.0, 10.0)
+        assert isinstance(val, float)
+        assert val == pytest.approx(float(
+            0.5 * mpmath.exp(-6.5) * mpmath.besseli(0, mpmath.sqrt(30))), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0, 100.0, 1600.0, 5000.0])
     def test_pdf_normalizes(self, lam):
         hi = lam + 2.0 + 60.0 * math.sqrt(lam + 1.0)
         total, _ = integrate.quad(lambda x: nc_chi2_pdf(x, lam), 0.0, hi, limit=300)
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_pdf_moments_by_quadrature(self):
-        lam = 25.0
+    @pytest.mark.parametrize("lam", [25.0, 5000.0])
+    def test_pdf_moments_by_quadrature(self, lam):
         hi = lam + 2.0 + 60.0 * math.sqrt(lam + 1.0)
         mean, _ = integrate.quad(lambda x: x * nc_chi2_pdf(x, lam), 0.0, hi, limit=300)
         var, _ = integrate.quad(

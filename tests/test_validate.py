@@ -282,11 +282,15 @@ class TestBoundAudit:
         lam = np.linspace(0.0, 1e6, 10_001)
         assert np.all(np.sqrt(lam + 1) / (lam + 2) <= 1.0 / np.sqrt(lam + 1))
 
-    def test_quadrature_oracle_agrees_with_reference(self, cfg):
+    @pytest.mark.parametrize("lam, p", [
+        (900.0, 5e-4),
+        # the corners of the criterion-6 (lambda, power) grid
+        (10.0, 1e-4), (10.0, 0.4), (5000.0, 1e-4), (5000.0, 0.4),
+    ])
+    def test_quadrature_oracle_agrees_with_reference(self, cfg, lam, p):
         # same integral through an entirely scipy-based route
         from scipy import integrate
         model = DetectionModel.from_config(cfg)
-        lam, p = 900.0, 5e-4
         ref, _ = integrate.quad(
             lambda x: np.log1p(model.beta1 * p / (x + model.h2_over_var))
             * stats.ncx2.pdf(x, 2, lam),
