@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cvxsolver import residual_values
 from .detection import DetectionModel, POSITIVE_FLOOR
 from .scenario import (
     FEAS_RTOL,
@@ -66,22 +67,25 @@ class ExpansionPoint:
     """Feasible point the surrogates are linearized around.
 
     u1_tilde parametrizes the bilinear-sqrt surrogate and must be positive.
-    The slack arrays are optional warm-start values; when present they seed
-    the subproblem's strictly feasible start.
+    The slack arrays are the warm-start values of the remaining slacks; with
+    the expansion point itself they make the subproblem's start, which must
+    be strictly feasible.
     """
 
     traj_tilde: Trajectory
     p_tilde: PowerSchedule
     r_tilde: RateSchedule
     u1_tilde: np.ndarray
-    y1_start: np.ndarray | None = None
-    z1_start: np.ndarray | None = None
-    u2_start: np.ndarray | None = None
+    y1_start: np.ndarray
+    z1_start: np.ndarray
+    u2_start: np.ndarray
 
     def __post_init__(self):
         u1 = np.asarray(self.u1_tilde, dtype=float).reshape(-1).copy()
         n = len(self.traj_tilde)
-        if not (len(self.p_tilde) == len(self.r_tilde) == u1.size == n):
+        if not (len(self.p_tilde) == len(self.r_tilde) == u1.size == n
+                == np.size(self.y1_start) == np.size(self.z1_start)
+                == np.size(self.u2_start)):
             raise ValueError("expansion point arrays disagree on slot count")
         if np.any(u1 < POSITIVE_FLOOR):
             raise ValueError("u1_tilde must be positive")
@@ -692,12 +696,7 @@ class ConvexSubproblem:
         return sum(f.m for f in self.families)
 
     def eval_values(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.n_constraints)
-        pos = 0
-        for f in self.families:
-            out[pos:pos + f.m] = f.values(f.gather(v))
-            pos += f.m
-        return np.nan_to_num(out, nan=np.inf)
+        return residual_values(self.families, v)
 
     def constraint_names(self) -> list[str]:
         names: list[str] = []
@@ -1035,79 +1034,28 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     scale[lay.u1] = max(float(np.median(u1_t)), 1e-6)
     scale[lay.u2] = max(float(np.median(lam_t)) + 1.0, 1.0)
 
+    # the start is the expansion point with its warm-start slacks, which the
+    # previous solve (or the initializer) leaves strictly feasible; a start
+    # that is not is rejected below, never repaired
+    start = np.zeros(lay.n_var)
+    start[lay.qx[free]] = q_t[free, 0]
+    start[lay.qy[free]] = q_t[free, 1]
+    start[lay.p] = np.clip(p_t, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
+    start[lay.r] = r_t
+    start[lay.y1] = exp.y1_start
+    start[lay.z1] = exp.z1_start
+    start[lay.u1] = np.maximum(exp.u1_tilde, 2.0 * U_FLOOR)
+    start[lay.u2] = exp.u2_start
+
     sub = ConvexSubproblem(
-        layout=lay, obj_coef=obj, families=families, start=np.zeros(lay.n_var),
+        layout=lay, obj_coef=obj, families=families, start=start,
         var_scale=scale, expansion=exp, cfg=cfg, fixed_waypoints=fixed_w,
     )
-
-    candidates = _start_candidates(exp, cfg, lay, c1, c2, base_a, dist2b_t,
-                                   s_b, a_b)
-    best, best_viol = None, np.inf
-    for cand in candidates:
-        viol = float(np.max(sub.eval_values(cand)))
-        if viol < 0.0:
-            best, best_viol = cand, viol
-            break
-        if viol < best_viol:
-            best, best_viol = cand, viol
-    if best_viol >= 1e-9:
-        vals = sub.eval_values(best)
-        bad = int(np.argmax(vals))
+    vals = sub.eval_values(start)
+    bad = int(np.argmax(vals))
+    if vals[bad] >= 0.0:
         raise InfeasibleExpansionError(
             sub.constraint_names()[bad],
             f"start residual {vals[bad]:.3e} is not strictly negative",
         )
-    # a marginally non-strict start (within 1e-9) is left to the solver's
-    # feasibility-restoration phase
-    sub.start = best
     return sub
-
-
-def _start_candidates(exp, cfg, lay, c1, c2, base_a, dist2b_t, s_b, a_b):
-    """Candidate start vectors, tried in order by assemble_subproblem.
-
-    Warm-start slack values are used verbatim when present (repeat solves keep
-    the previous optimum strictly interior); the fallback re-derives slacks
-    from their floors with a small inflation and caps the rate against the
-    surrogate outage row, which is increasing in the rate.
-    """
-    n = lay.n_slots
-    eps2 = cfg.var_bob
-    p_t = exp.p_tilde.powers
-    r_t = exp.r_tilde.rates
-    u1_t = np.maximum(exp.u1_tilde, 2.0 * U_FLOOR)
-    p_start = np.clip(p_t, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
-    rt_t = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2b_t)
-    lam_t = np.sum((exp.traj_tilde.waypoints - cfg.willie_est) ** 2, axis=1) / cfg.var_willie
-
-    def rate_cap(y1, z1):
-        # solve residual A == 0 for R in the same difference form the family
-        # evaluates, then back off
-        room = -(base_a + dist2b_t + s_b * z1 + a_b * y1
-                 + c1 * (p_t - p_start) / (p_start * p_t))
-        c2rt = c2 * np.exp2(r_t)
-        shift = np.log1p(np.maximum(room / c2rt, -0.999999999)) / math.log(2.0)
-        return (r_t + shift) * (1.0 - 1e-9)
-
-    def make(y1, z1, u2, r_vals):
-        v = np.zeros(lay.n_var)
-        free = lay.qx >= 0
-        v[lay.qx[free]] = exp.traj_tilde.waypoints[free, 0]
-        v[lay.qy[free]] = exp.traj_tilde.waypoints[free, 1]
-        v[lay.p] = p_start
-        v[lay.r] = r_vals
-        v[lay.y1] = y1
-        v[lay.z1] = z1
-        v[lay.u1] = u1_t
-        v[lay.u2] = u2
-        return v
-
-    candidates = []
-    if exp.y1_start is not None and exp.z1_start is not None and exp.u2_start is not None:
-        candidates.append(make(exp.y1_start, exp.z1_start, exp.u2_start, r_t))
-    y1_d = np.full(n, eps2 + 1e-6 * max(eps2, 1.0))
-    z1_d = rt_t + 1e-6 * np.maximum(rt_t, 1.0)
-    u2_d = np.maximum((lam_t + 1.0) * (1.0 - 1e-8), 2.0 * U_FLOOR)
-    r_d = np.maximum(np.minimum(r_t, rate_cap(y1_d, z1_d)), RATE_FLOOR * (1.0 + 1e-6))
-    candidates.append(make(y1_d, z1_d, u2_d, r_d))
-    return candidates

@@ -7,19 +7,19 @@ This matches the subproblems assembled here: a few thousand variables,
 residuals touching only a handful of variables each, plus one dense linear
 budget row.
 
-The barrier parameter follows the classical path: damped Newton centering with
-a feasibility-then-Armijo backtracking line search, geometric shrink of mu,
-and a duality-gap stop at m * mu. Iterates stay strictly feasible throughout.
-When every nonlinear residual has a narrow variable support, each Newton
-system is a banded Cholesky solve plus a Woodbury correction for the wide
-linear rows, which keeps the cost per step linear in the number of slots.
-A factorization that fails to round-off is retried on a ridge ladder (a
-growing multiple of the identity added to the diagonal) in the same banded
-form; there is no dense fallback. Dense Cholesky, with the same ladder, serves
-only problems without a narrow band: phase-one restoration and problems with
-fewer than 64 variables. Gradient and Hessian entries are scattered with one
-precomputed index per solve. Everything is deterministic: no randomized
-pivoting, no restarts.
+The barrier parameter follows the classical path from a strictly feasible
+start (Boyd & Vandenberghe, Convex Optimization, 11.3): damped Newton
+centering with a feasibility-then-Armijo backtracking line search, geometric
+shrink of mu, and a duality-gap stop at m * mu. Iterates stay strictly
+feasible throughout; a start that is not strictly interior is an error, not
+something the solver repairs. Every Newton system is one banded Cholesky
+solve, the band as wide as the widest nonlinear residual's variable span (a
+dense nonlinear row makes it a dense Cholesky), plus a Woodbury correction for
+the linear rows wider than the band, which keeps the cost per step linear in
+the number of slots. A factorization that fails to round-off is retried on a
+ridge ladder (a growing multiple of the identity added to the diagonal).
+Gradient and Hessian entries are scattered with one precomputed index per
+solve. Everything is deterministic: no randomized pivoting, no restarts.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class SolverSettings:
     final_centering_tol: float = 1e-9
     center_step_cap: int = 25      # Newton steps per mid-path centering
     final_step_cap: int = 60
-    band_limit: int = 32           # banded solves when supports fit
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
@@ -70,7 +69,7 @@ class KktReport:
 class SolverResult:
     variables: np.ndarray
     objective: float
-    status: str             # "optimal" | "max_iters" | "infeasible"
+    status: str             # "optimal" | "max_iters"
     kkt: KktReport
     iterations: int
     gap: float              # duality-gap bound m * mu at exit
@@ -87,65 +86,61 @@ class BarrierProblem:
     var_scale: np.ndarray
 
 
-class _Work:
-    """Scatter structure and scaled views for one problem instance."""
+def residual_values(families, v: np.ndarray) -> np.ndarray:
+    """All residual values at v, in family order.
 
-    def __init__(self, problem, settings: SolverSettings):
+    Families signal out-of-domain points with NaN, which becomes +inf here so
+    that every feasibility test reads it as a violation.
+    """
+    out = np.empty(sum(f.m for f in families))
+    pos = 0
+    for f in families:
+        out[pos:pos + f.m] = f.values(v[f.idx])
+        pos += f.m
+    return np.nan_to_num(out, nan=np.inf)
+
+
+class _Work:
+    """Band layout, scatter indices and scaled views for one problem instance."""
+
+    def __init__(self, problem):
         self.families = list(problem.families)
         self.scale = np.asarray(problem.var_scale, dtype=float)
         self.d = self.scale.size
         self.c_w = np.asarray(problem.obj_coef, dtype=float) * self.scale
         self.m = sum(f.m for f in self.families)
 
-        # wide-support *linear* families turn into low-rank dyad corrections
-        # on the banded path; wide nonlinear support forces the dense path
-        self.wide: set[int] = set()
-        band = 0
-        banded_ok = True
-        for fi, f in enumerate(self.families):
-            if f.m == 0:
-                continue
-            span = int((f.idx.max(axis=1) - f.idx.min(axis=1)).max())
-            if span > settings.band_limit:
-                if f.is_linear:
-                    self.wide.add(fi)
-                else:
-                    banded_ok = False
-                continue
-            band = max(band, span)
+        # the band is as wide as the widest nonlinear row; linear rows wider
+        # than that turn into low-rank dyad corrections
+        live = [fi for fi, f in enumerate(self.families) if f.m]
+        span = {fi: int((self.families[fi].idx.max(axis=1)
+                         - self.families[fi].idx.min(axis=1)).max()) for fi in live}
+        band = max((span[fi] for fi in live if not self.families[fi].is_linear),
+                   default=0)
+        self.wide = {fi for fi in live if span[fi] > band}
         self.band = band
-        self.banded_ok = banded_ok and self.d >= 64 and band <= settings.band_limit
         self.s_gath = [self.scale[f.idx] for f in self.families]
 
         # one scatter index per solve: np.bincount adds its weights in index
         # order, the order np.add.at would take them family by family
-        live = [fi for fi, f in enumerate(self.families) if f.m]
         self.grad_index = np.concatenate(
             [np.arange(self.d)] + [self.families[fi].idx.ravel() for fi in live])
         hess_parts = [np.zeros(0, dtype=np.int64)]
         for fi in live:
-            if self.banded_ok and fi in self.wide:
+            if fi in self.wide:
                 continue  # low-rank dyads, not band entries
             idx = self.families[fi].idx
             ii, jj = idx[:, :, None], idx[:, None, :]
-            if self.banded_ok:
-                # upper band storage; lower-triangle entries go to one
-                # trailing bin that is dropped after the scatter
-                tgt = np.where(ii <= jj, (band + ii - jj) * self.d + jj,
-                               (band + 1) * self.d)
-            else:
-                tgt = ii * self.d + jj
+            # upper band storage; lower-triangle entries go to one trailing
+            # bin that is dropped after the scatter
+            tgt = np.where(ii <= jj, (band + ii - jj) * self.d + jj,
+                           (band + 1) * self.d)
             hess_parts.append(tgt.ravel())
         self.hess_index = np.concatenate(hess_parts)
-        self.hess_size = (band + 1) * self.d if self.banded_ok else self.d * self.d
+        self.hess_size = (band + 1) * self.d
 
     def values(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty(self.m)
-        pos = 0
-        for f in self.families:
-            out[pos:pos + f.m] = f.values(v[f.idx])
-            pos += f.m
-        return np.nan_to_num(out, nan=np.inf)
+        return residual_values(self.families, v)
 
     def gradient(self, rows: list) -> np.ndarray:
         """c_w plus the per-family (m, k) gradient rows, scattered in one pass."""
@@ -153,9 +148,9 @@ class _Work:
         return np.bincount(self.grad_index, w, minlength=self.d)
 
     def hessian(self, blocks: list) -> np.ndarray:
-        """Flat banded (or dense) Hessian from per-family (m, k, k) blocks.
+        """Flat upper band storage from per-family (m, k, k) blocks.
 
-        Blocks come in family order; the banded path leaves out wide families.
+        Blocks come in family order, without the wide families.
         """
         w = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
         return np.bincount(self.hess_index, w, minlength=self.hess_size)[:self.hess_size]
@@ -165,18 +160,13 @@ class _Work:
 
 
 def _eval_pieces(work: _Work, v: np.ndarray, mu: float):
-    """Barrier gradient (scaled coords) and per-family pieces at physical v.
-
-    Returns (g, pieces) or (None, worst_value) when v is not strictly interior.
-    """
+    """Barrier gradient (scaled coords) and per-family pieces at an interior v."""
     pieces = []
     for fi, f in enumerate(work.families):
         if f.m == 0:
             continue
         V = v[f.idx]
-        vals = np.nan_to_num(f.values(V), nan=np.inf)
-        if float(np.max(vals)) >= 0.0:
-            return None, float(np.max(vals))
+        vals = f.values(V)
         w2 = mu / (-vals)
         G_w = f.grads(V) * work.s_gath[fi]
         pieces.append((fi, V, vals, G_w, w2))
@@ -189,12 +179,6 @@ def _phi(work: _Work, v: np.ndarray, mu: float) -> float:
     if mx >= 0.0:
         return math.inf
     return work.objective_w(v) - mu * float(np.sum(np.log(-vals)))
-
-
-def _newton_direction(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
-    if work.banded_ok:
-        return _newton_banded(work, pieces, g, mu)
-    return _newton_dense(work, pieces, g, mu)
 
 
 def _hess_block(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> np.ndarray:
@@ -256,20 +240,8 @@ def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
     return _ridge_ladder(solve_shifted, ab[u])
 
 
-def _newton_dense(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
-    d = work.d
-    H = work.hessian([_hess_block(work, mu, *piece) for piece in pieces]).reshape(d, d)
-
-    def cholesky(ridge):
-        M = H if ridge == 0.0 else H + ridge * np.eye(d)
-        return sla.cho_solve(sla.cho_factor(M, lower=True), -g)
-
-    return _ridge_ladder(cholesky, np.diag(H))
-
-
 def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
-                      settings: SolverSettings, early_exit=None,
-                      log=None) -> SolverResult:
+                      settings: SolverSettings, log=None) -> SolverResult:
     scale = work.scale
     v = v0.copy()
     m = work.m
@@ -289,10 +261,7 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
         prev_dec2 = math.inf
         while True:
             g, pieces = _eval_pieces(work, v, mu)
-            if g is None:
-                status, message, done = "max_iters", "iterate left the interior", True
-                break
-            p = _newton_direction(work, pieces, g, mu)
+            p = _newton_banded(work, pieces, g, mu)
             dec2 = float(-g @ p)
             if not np.isfinite(dec2) or dec2 <= 0:
                 break
@@ -327,9 +296,6 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
             if not ok or phi0 - phi1 < 1e-16 * max(1.0, abs(phi0)):
                 break  # stalled at numerical precision: accept as centered
             v = cand
-            if early_exit is not None and early_exit(v):
-                done = True
-                break
         if done:
             break
         if gap_hit and steps_here < step_cap:
@@ -374,135 +340,31 @@ def solve(problem, start: np.ndarray | None = None,
           log_path=None) -> SolverResult:
     """Minimize the problem's linear objective over its residual families.
 
-    The start must be strictly feasible; otherwise a feasibility-restoration
-    phase runs first, and "infeasible" is reported only when that phase fails
-    to produce an interior point. log_path, when given, receives one CSV line
-    per Newton step (iteration, mu, merit, step length, decrement, worst
-    residual) for convergence debugging.
+    The start (problem.start unless given) must be strictly interior: a
+    ValueError naming the worst row and its value is raised otherwise.
+    log_path, when given, receives one CSV line per Newton step (iteration,
+    mu, merit, step length, decrement, worst residual) for convergence
+    debugging.
     """
     settings = settings or SolverSettings()
     v0 = np.array(problem.start if start is None else start, dtype=float)
-    work = _Work(problem, settings)
+    work = _Work(problem)
     if work.m == 0:
         return SolverResult(v0, float(np.asarray(problem.obj_coef) @ v0), "optimal",
                             KktReport(-math.inf, 0.0, 0.0), 0, 0.0)
 
     vals0 = work.values(v0)
-    if float(np.max(vals0)) >= 0.0:
-        restored = _phase_one(problem, v0, settings)
-        if restored is None:
-            return SolverResult(
-                variables=v0, objective=math.inf, status="infeasible",
-                kkt=KktReport(float(np.max(vals0)), math.inf, math.inf),
-                iterations=0, gap=math.inf,
-                message="feasibility restoration failed",
-            )
-        v0 = restored
+    worst = int(np.argmax(vals0))
+    if vals0[worst] >= 0.0:
+        labels = [label for f in work.families for label in f.row_labels]
+        raise ValueError(f"start is not strictly interior: residual "
+                         f"{labels[worst]} = {vals0[worst]:.3e}")
     if log_path is None:
         return _barrier_minimize(work, problem, v0, settings)
     from pathlib import Path
 
     with Path(log_path).open("w", encoding="utf-8") as log:
         return _barrier_minimize(work, problem, v0, settings, log=log)
-
-
-# ---------------------------------------------------------------------------
-# feasibility restoration
-# ---------------------------------------------------------------------------
-
-class _ShiftedFamily:
-    """Family with an extra slack column: value' = value - s."""
-
-    is_linear = False
-
-    def __init__(self, base, s_index: int):
-        self.base = base
-        self.idx = np.hstack([base.idx, np.full((base.m, 1), s_index, dtype=np.int64)])
-        self.is_linear = base.is_linear
-        self.name = base.name + "+slack"
-        self.row_labels = base.row_labels
-        self.m = base.m
-        self.k = base.k + 1
-
-    def values(self, V):
-        return self.base.values(V[:, :-1]) - V[:, -1]
-
-    def grads(self, V):
-        g = np.empty_like(V)
-        g[:, :-1] = self.base.grads(V[:, :-1])
-        g[:, -1] = -1.0
-        return g
-
-    def hess(self, V):
-        h = np.zeros((self.m, self.k, self.k))
-        h[:, :-1, :-1] = self.base.hess(V[:, :-1])
-        return h
-
-
-class _FloorRow:
-    """Single linear row  -s - bound <= 0  keeping phase one bounded below."""
-
-    is_linear = True
-    name = "phase1_floor"
-    row_labels = ["phase1_floor"]
-    m = 1
-    k = 1
-
-    def __init__(self, s_index: int, bound: float):
-        self.idx = np.array([[s_index]], dtype=np.int64)
-        self.bound = float(bound)
-
-    def values(self, V):
-        return -V[:, 0] - self.bound
-
-    def grads(self, V):
-        return np.full_like(V, -1.0)
-
-    def hess(self, V):
-        return np.zeros((1, 1, 1))
-
-
-def _values_of_problem(problem, v: np.ndarray) -> np.ndarray:
-    out = []
-    for f in problem.families:
-        out.append(np.nan_to_num(f.values(v[f.idx]), nan=np.inf))
-    return np.concatenate(out) if out else np.zeros(0)
-
-
-def _phase_one(problem, v0: np.ndarray, settings: SolverSettings):
-    """Minimize the max violation; return a strictly interior point or None."""
-    d = v0.size
-    worst = float(np.max(_values_of_problem(problem, v0)))
-    if not np.isfinite(worst):
-        worst = 1e6
-    s0 = worst + 0.1 * (abs(worst) + 1.0)
-    fams = [_ShiftedFamily(f, d) for f in problem.families]
-    fams.append(_FloorRow(d, 10.0 * (abs(s0) + 1.0)))
-    obj = np.zeros(d + 1)
-    obj[d] = 1.0
-    p1 = BarrierProblem(
-        obj_coef=obj,
-        families=fams,
-        start=np.append(v0, s0),
-        var_scale=np.append(np.asarray(problem.var_scale, dtype=float),
-                            max(1.0, abs(s0))),
-    )
-    p1_settings = SolverSettings(
-        kkt_tol=1e-9, max_iters=settings.max_iters,
-        barrier_mu_init=settings.barrier_mu_init,
-        barrier_shrink=settings.barrier_shrink,
-        band_limit=0,  # the slack column couples everything: dense path
-    )
-    work = _Work(p1, p1_settings)
-
-    def interior(vv: np.ndarray) -> bool:
-        return float(np.max(_values_of_problem(problem, vv[:d]))) < 0.0
-
-    res = _barrier_minimize(work, p1, p1.start, p1_settings, early_exit=interior)
-    v = res.variables[:d]
-    if float(np.max(_values_of_problem(problem, v))) < 0.0:
-        return v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +381,7 @@ def check_kkt(problem, point: np.ndarray, duals: np.ndarray | None = None,
     """
     v = np.asarray(point, dtype=float)
     scale = np.asarray(problem.var_scale, dtype=float)
-    vals = _values_of_problem(problem, v)
+    vals = residual_values(problem.families, v)
     m, d = vals.size, v.size
 
     J = np.zeros((m, d))

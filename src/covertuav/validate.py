@@ -5,9 +5,10 @@ estimated by sampling the receiver location error, the warden's average error
 rate by sampling the warden location error through the threshold analysis
 (cross-checked on a sample subset against the minimum over a threshold grid,
 which the shape of the error-rate sum lets three grid points per sample find
-exactly), the distance-statistic distribution through an independent
-Poisson-mixture CDF, and the covertness bound through adaptive quadrature of
-the statistic's exact density in its closed Bessel form.
+exactly), the distance-statistic distribution through scipy's noncentral
+chi-square CDF (``scipy.special.chndtr``), and the covertness bound through
+adaptive quadrature of the statistic's exact density in its closed Bessel
+form.
 
 Sampling uses the counter-based Philox generator keyed by (seed, stream), so
 reports are reproducible across platforms and shards are independent;
@@ -22,14 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammainc, gammaln, i0e, ndtr
+from scipy.special import chndtr, i0e, ndtr
 
 from .detection import DetectionModel, g_of, min_total_error, g_upper
 from .scenario import ScenarioConfig
 from .sca import Plan
 
 _SHARD = 1 << 18  # samples per shard
-_CDF_CHUNK = 2_000_000  # elements of the CDF oracle's (term, point) buffer
 # A threshold-grid sample with e h / noise_high^2 < _FLAT_RISE (1 + rho^2) is
 # minimized over the whole grid: its rise per grid step h past the optimal
 # threshold (that quantity over 2 ln rho) is then within a few hundred rounding
@@ -82,75 +82,6 @@ def wilson_interval(successes: int, n: int, z: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# ---------------------------------------------------------------------------
-# distance-statistic CDF oracle (Poisson mixture of gamma tails)
-# ---------------------------------------------------------------------------
-
-def nc_chi2_cdf(x, lam: float):
-    """CDF of the 2-dof noncentral chi-square statistic.
-
-    Poisson(lam/2) mixture of chi-square(2k+2) CDFs, the series form of the
-    Marcum Q function: sum_k w_k P(k + 1, x/2) over a window k_lo..k_hi that
-    keeps all weights above 1e-18 of the mass (P the regularized lower gamma).
-
-    One P per point is evaluated; the rest of the window follows from
-    P(k + 1, y) = P(k, y) - t_k with t_k = e^-y y^k / k!. Below the mixture
-    centre (y < lam/2) the anchor is P(k_hi + 1, y) and the terms are added
-    going down; from the centre up it is P(k_lo + 1, y) and they are
-    subtracted going up. Each side thus moves only by terms that are small
-    beside the result there; anchored at k_lo + 1 everywhere, CDF values near
-    1e-14 came out with absolute errors of 5e-14 at lam = 800, some of them
-    negative. Summed over the window, the mixture is
-    w_sum P(anchor, y) + sum_j c_j t_j, with c_j the sum of the weights below
-    j (going down) or minus the sum of those from j up (going up).
-
-    Against ``scipy.stats.ncx2.cdf`` (itself within 6e-15 of a 40-digit
-    evaluation) on 400 points over [0, lam + 2 + 30 sqrt(lam + 1)] the largest
-    absolute error measures 9e-15 at lam = 100, 2.8e-13 at lam = 1600 and
-    1.7e-12 at lam = 5000. It grows with lam through the rounding of the
-    Poisson log-weights and log-terms, which reach about 1e4 in magnitude.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
-    half = 0.5 * lam
-    spread = 10.0 * math.sqrt(half + 1.0) + 20.0
-    k_lo = max(0, int(half - spread))
-    k_hi = int(half + spread)
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    log_w = -half + k * (math.log(half) if half > 0 else 0.0) - gammaln(k + 1.0)
-    if half == 0.0:
-        log_w = np.where(k == 0, 0.0, -np.inf)
-    w = np.exp(log_w)
-    w_sum = float(np.sum(w))
-    j = k[1:]
-    # term weights c_j: row 0 going down (sum of w_k, k < j), row 1 going up
-    # (minus the sum of w_k, k >= j)
-    c = np.stack([np.cumsum(w)[:-1], -np.cumsum(w[::-1])[::-1][1:]])
-    log_j_fact = gammaln(j + 1.0)[:, None]
-    out = np.zeros_like(x)
-    pos = x > 0
-    if np.any(pos):
-        y = 0.5 * x[pos]
-        res = np.empty_like(y)
-        # one (j, y) buffer of at most _CDF_CHUNK elements, filled in place
-        step = max(1, _CDF_CHUNK // j.size)
-        buf = np.empty((j.size, min(step, y.size)))
-        for i in range(0, y.size, step):
-            yy = y[i:i + step]
-            up = yy >= half
-            terms = buf[:, :yy.size]
-            np.multiply.outer(j, np.log(yy), out=terms)
-            terms -= yy
-            terms -= log_j_fact
-            np.exp(terms, out=terms)
-            s_down, s_up = c @ terms
-            res[i:i + step] = (w_sum * gammainc(np.where(up, k_lo, k_hi) + 1.0, yy)
-                               + np.where(up, s_up, s_down))
-        out[pos] = res
-    return float(out[0]) if scalar else out
-
-
 def ks_gaussian_approx(lam: float, grid_points: int = 10_000) -> float:
     """KS distance between the exact distance-statistic CDF and its
     moment-matched normal approximation, on a dense grid."""
@@ -158,8 +89,8 @@ def ks_gaussian_approx(lam: float, grid_points: int = 10_000) -> float:
     sd = math.sqrt(4.0 * lam + 4.0)
     lo = max(0.0, mean - 8.0 * sd)
     hi = mean + 8.0 * sd
-    grid = np.linspace(lo, hi, grid_points)
-    exact = nc_chi2_cdf(grid, lam)
+    grid = np.linspace(lo, hi, grid_points)  # x >= 0, where chndtr is defined
+    exact = chndtr(grid, 2.0, lam)
     gauss = ndtr((grid - mean) / sd)
     return float(np.max(np.abs(exact - gauss)))
 

@@ -410,11 +410,14 @@ class TestAssembledSubproblem:
     def test_infeasible_expansion_rejected(self, cfg):
         exp = initial_point(cfg)
         # within the power caps but far too loud to stay covert
+        slacks = dict(y1_start=exp.y1_start, z1_start=exp.z1_start,
+                      u2_start=exp.u2_start)
         bad = ExpansionPoint(
             traj_tilde=exp.traj_tilde,
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, 0.05)),
             r_tilde=exp.r_tilde,
             u1_tilde=exp.u1_tilde,
+            **slacks,
         )
         with pytest.raises(InfeasibleExpansionError, match="covertness"):
             assemble_subproblem(bad, cfg)
@@ -423,9 +426,28 @@ class TestAssembledSubproblem:
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, cfg.p_peak_max)),
             r_tilde=exp.r_tilde,
             u1_tilde=exp.u1_tilde,
+            **slacks,
         )
         with pytest.raises(InfeasibleExpansionError, match="power"):
             assemble_subproblem(over, cfg)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_non_strict_warm_start_rejected(self, small_cfg, fixed):
+        # a tangent-bound slack just above lam + 1 breaks the affine row F
+        # at one slot; the start is the warm start or nothing
+        exp = initial_point(small_cfg)
+        lam = lambda_of(exp.traj_tilde.waypoints, small_cfg.willie_est,
+                        small_cfg.var_willie)
+        u2 = exp.u2_start.copy()
+        u2[5] = (lam[5] + 1.0) * (1.0 + 1e-9)
+        nudged = ExpansionPoint(
+            traj_tilde=exp.traj_tilde, p_tilde=exp.p_tilde, r_tilde=exp.r_tilde,
+            u1_tilde=exp.u1_tilde, y1_start=exp.y1_start, z1_start=exp.z1_start,
+            u2_start=u2,
+        )
+        with pytest.raises(InfeasibleExpansionError,
+                           match=r"covert_F\[5\]: start residual .* is not strictly negative"):
+            assemble_subproblem(nudged, small_cfg, fixed_trajectory=fixed)
 
     def test_debug_dump(self, sub, tmp_path):
         path = tmp_path / "sub.txt"

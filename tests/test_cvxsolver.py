@@ -10,11 +10,13 @@ from covertuav.cvxsolver import (
     SolverSettings,
     _Work,
     _eval_pieces,
-    _newton_direction,
+    _newton_banded,
     _phi,
     check_kkt,
     solve,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def box_family(lo, hi):
@@ -60,6 +62,35 @@ class QuadEpigraph(ResidualFamily):
         h = np.zeros((1, self.k, self.k))
         h[0, :-1, :-1] = self.Q
         return h
+
+
+def dense_newton_oracle(problem, gathered, mu):
+    """Test oracle: the barrier Newton direction from a dense d x d system.
+
+    gathered[i] is family i's (m, k) variable matrix. In scaled coordinates
+    (v = var_scale * w) the barrier gradient and Hessian are
+        g = var_scale * obj_coef + sum_i mu G_i / (-c_i),
+        H = sum_i mu (G_i G_i^T / c_i^2 + H_i / (-c_i)),
+    with c_i the residual values and G_i, H_i their gradients and Hessians in
+    w, assembled here row by row with np.add.at, and H p = -g is solved
+    densely. Returns (p, g).
+    """
+    scale = np.asarray(problem.var_scale, dtype=float)
+    d = scale.size
+    g = np.asarray(problem.obj_coef, dtype=float) * scale
+    H = np.zeros((d, d))
+    for f, V in zip(problem.families, gathered):
+        if f.m == 0:
+            continue
+        c = f.values(V)
+        s = scale[f.idx]
+        G = f.grads(V) * s
+        Hf = f.hess(V) * s[:, :, None] * s[:, None, :]
+        np.add.at(g, f.idx, mu * G / -c[:, None])
+        blocks = mu * (np.einsum("mi,mj->mij", G, G) / (c * c)[:, None, None]
+                       + Hf / -c[:, None, None])
+        np.add.at(H, (f.idx[:, :, None], f.idx[:, None, :]), blocks)
+    return np.linalg.solve(H, -g), g
 
 
 class TestToys:
@@ -149,18 +180,18 @@ class TestKkt:
 
 
 class TestRobustness:
-    def test_phase_one_restores_interior(self):
+    def test_exterior_start_rejected(self):
         prob = one_d_problem()
-        res = solve(prob, start=np.array([5.0]))  # outside the box
-        assert res.status == "optimal"
-        assert res.variables[0] == pytest.approx(3.0, abs=1e-6)
+        with pytest.raises(ValueError, match=r"ub\[0\] = 2\.000e\+00"):
+            solve(prob, start=np.array([5.0]))  # outside the box
 
     def test_infeasible_problem_detected(self):
         fam = LinearFamily(np.array([[0], [0]]), np.array([[1.0], [-1.0]]),
                            np.array([-3.0, 4.0]), "bad", ["ub", "lb"])
         prob = BarrierProblem(np.array([-1.0]), [fam], np.array([1.0]), np.ones(1))
-        res = solve(prob)
-        assert res.status == "infeasible"
+        with pytest.raises(ValueError, match=r"not strictly interior: residual "
+                                             r"lb = 3\.000e\+00"):
+            solve(prob)
 
     def test_deterministic_iterates(self, cfg):
         from covertuav.convexify import assemble_subproblem
@@ -178,26 +209,32 @@ class TestRobustness:
         from covertuav.convexify import assemble_subproblem
         from covertuav.sca import initial_point
 
-        sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
-        banded = _Work(sub, SolverSettings())
-        dense = _Work(sub, SolverSettings(band_limit=0))
-        assert banded.banded_ok and not dense.banded_ok
-        v = sub.start
-        for mu in [1.0, 1e-4]:
-            gb, pb = _eval_pieces(banded, v, mu)
-            gd, pd = _eval_pieces(dense, v, mu)
-            assert np.allclose(gb, gd, rtol=1e-12)
-            db = _newton_direction(banded, pb, gb, mu)
-            dd = _newton_direction(dense, pd, gd, mu)
-            assert np.allclose(db, dd, rtol=1e-6, atol=1e-9)
+        exp = initial_point(small_cfg)
+        for fixed in (False, True):
+            sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
+            work = _Work(sub)
+            v = sub.start
+            for mu in [1.0, 1e-4]:
+                gb, pieces = _eval_pieces(work, v, mu)
+                dd, gd = dense_newton_oracle(sub, [v[f.idx] for f in sub.families], mu)
+                assert np.allclose(gb, gd, rtol=1e-12)
+                db = _newton_banded(work, pieces, gb, mu)
+                assert np.allclose(db, dd, rtol=1e-6, atol=1e-9)
 
-    def test_banded_and_dense_optima_agree(self, small_cfg):
+    def test_banded_and_dense_optima_agree(self, small_cfg, monkeypatch):
         from covertuav.convexify import assemble_subproblem
         from covertuav.sca import initial_point
 
         sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
         rb = solve(sub, settings=SolverSettings())
-        rd = solve(sub, settings=SolverSettings(band_limit=0))
+
+        def dense(work, pieces, g, mu):
+            by_family = {fi: V for fi, V, *_ in pieces}
+            gathered = [by_family.get(fi) for fi in range(len(sub.families))]
+            return dense_newton_oracle(sub, gathered, mu)[0]
+
+        monkeypatch.setattr(cvxsolver, "_newton_banded", dense)
+        rd = solve(sub, settings=SolverSettings())
         assert rb.objective == pytest.approx(rd.objective, rel=1e-6, abs=1e-9)
 
     def test_banded_ridge_ladder_needs_no_dense_fallback(self, monkeypatch):
@@ -211,8 +248,7 @@ class TestRobustness:
                              np.tile([1.0, -1.0], (d - 2, 1)), np.full(d - 2, -1.5),
                              "chain", [f"chain[{i}]" for i in range(d - 2)])]
         prob = BarrierProblem(-np.ones(d), fams, np.zeros(d), np.ones(d))
-        work = _Work(prob, SolverSettings())
-        assert work.banded_ok
+        work = _Work(prob)
 
         outcomes = []
         solveh_banded = cvxsolver.sla.solveh_banded
@@ -226,48 +262,34 @@ class TestRobustness:
             outcomes.append("solved")
             return out
 
-        def no_dense(*args, **kwargs):
-            raise AssertionError("dense Newton system on a banded problem")
-
         monkeypatch.setattr(cvxsolver.sla, "solveh_banded", recorded)
-        monkeypatch.setattr(cvxsolver, "_newton_dense", no_dense)
         g, pieces = _eval_pieces(work, prob.start, 0.1)
-        p = _newton_direction(work, pieces, g, 0.1)
+        p = _newton_banded(work, pieces, g, 0.1)
         assert outcomes[0] == "failed" and outcomes[-1] == "solved"
         assert np.all(np.isfinite(p))
         assert float(g @ p) < 0.0
 
-    def test_study_run_stays_banded(self, monkeypatch):
+    def test_study_run_stays_banded(self):
         # T = 210 s is the study point where the ridge-free banded
         # factorization fails to round-off on some Newton steps
         from covertuav.scenario import baseline_config
         from covertuav.sca import run_jtp, run_stp
 
-        dense_calls = []
-        newton_dense = cvxsolver._newton_dense
-
-        def counted(*args, **kwargs):
-            dense_calls.append(1)
-            return newton_dense(*args, **kwargs)
-
-        monkeypatch.setattr(cvxsolver, "_newton_dense", counted)
         cfg = baseline_config(flight_period_T=210.0)
         plan, trace = run_jtp(cfg)
-        assert not dense_calls
         assert trace.stop_reason == "converged"
         assert plan.actr >= run_stp(cfg)[0].actr
 
     def test_merit_monotone_along_accepted_steps(self):
         # drive one centering by hand and watch the barrier merit
         prob = one_d_problem()
-        settings = SolverSettings()
-        work = _Work(prob, settings)
+        work = _Work(prob)
         v = prob.start.copy()
         mu = 0.1
         last = _phi(work, v, mu)
         for _ in range(20):
             g, pieces = _eval_pieces(work, v, mu)
-            p = _newton_direction(work, pieces, g, mu)
+            p = _newton_banded(work, pieces, g, mu)
             if float(-g @ p) < 1e-14:
                 break
             t = 1.0

@@ -15,6 +15,8 @@ from covertuav.sca import (
     run_stp,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestLineSegment:
     def test_minimum_time_is_straight_line(self):
@@ -134,6 +136,16 @@ class TestScaLoop:
         _, (stp_plan, _) = small_runs
         line = line_segment_trajectory(small_cfg)
         assert np.allclose(stp_plan.trajectory.waypoints, line.waypoints)
+
+    def test_small_rate_not_converged_after_one_solve(self):
+        # criterion 11's 1 dB noise-uncertainty case starts near 6.5e-5
+        # bits/s/Hz, under sca_tolerance; its early passes still roughly
+        # double the rate
+        cfg = baseline_config(flight_period_T=250.0, noise_uncertainty_rho=10.0 ** 0.1)
+        plan, trace = run_stp(cfg)
+        assert trace.subproblem_solves > 1
+        assert trace.stop_reason == "converged"
+        assert plan.actr > 1e-3
 
     def test_fixed_point_restart(self, small_cfg, small_runs):
         (plan, trace), _ = small_runs
