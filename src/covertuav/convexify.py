@@ -309,10 +309,16 @@ class ResidualFamily:
     idx holds, per row, the flat indices of the variables the row touches.
     values/grads/hess take the gathered (m, k) variable matrix. Rows must be
     convex; NaNs in values are treated as out-of-domain by the solver.
+    hess_pattern lists the (i, j) entries of a row's Hessian that can be
+    nonzero (None: all of them), and hess_constant marks a Hessian that does
+    not depend on the variables; the solver builds its Newton blocks from
+    these.
     """
 
     name: str = "residual"
     is_linear = False
+    hess_pattern = None
+    hess_constant = False
 
     def __init__(self, idx: np.ndarray, row_labels: list[str]):
         self.idx = np.asarray(idx, dtype=np.int64)
@@ -340,6 +346,11 @@ class ResidualFamily:
     def hess(self, V: np.ndarray) -> np.ndarray:
         """Per-row (k, k) Hessian blocks, shape (m, k, k)."""
         raise NotImplementedError
+
+
+def _diagonal_pattern(has_q: bool, *cols: int) -> list:
+    """Diagonal Hessian entries at cols, plus (qx, qy) when q is free."""
+    return [(c, c) for c in ((0, 1) if has_q else ()) + cols]
 
 
 class LinearFamily(ResidualFamily):
@@ -370,11 +381,16 @@ class StepCapFamily(ResidualFamily):
     free waypoint and a constant anchor (k = 2).
     """
 
+    hess_constant = True
+
     def __init__(self, idx, anchors, cap_sq, name, row_labels):
         super().__init__(idx, row_labels)
         self.name = name
         self.anchors = None if anchors is None else np.asarray(anchors, dtype=float)
         self.cap_sq = float(cap_sq)
+        self.hess_pattern = [(i, i) for i in range(self.k)]
+        if self.anchors is None:
+            self.hess_pattern += [(0, 2), (2, 0), (1, 3), (3, 1)]
 
     def _delta(self, V):
         if self.anchors is None:
@@ -427,6 +443,7 @@ class OutageAFamily(ResidualFamily):
         self.s_b = float(s_b)
         self.a_b = float(a_b)
         self._o = 2 if has_q else 0  # column offset of P
+        self.hess_pattern = _diagonal_pattern(has_q, self._o, self._o + 1)
 
     def _cols(self, V):
         o = self._o
@@ -485,6 +502,7 @@ class OutageBFamily(ResidualFamily):
         self.name = name
         self.bob = np.asarray(bob_est, dtype=float)
         self.eps2 = float(eps2)
+        self.hess_pattern = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def _parts(self, V):
         d = V[:, 0:2] - self.bob
@@ -508,8 +526,7 @@ class OutageBFamily(ResidualFamily):
         c = 2.0 * self.eps2 / rt
         outer = np.einsum("mi,mj->mij", d, d)
         block = c[:, None, None] * (
-            np.broadcast_to(np.eye(2), (self.m, 2, 2))
-            - (2.0 * self.eps2 / s2)[:, None, None] * outer
+            np.eye(2) - (2.0 * self.eps2 / s2)[:, None, None] * outer
         )
         h[:, 0:2, 0:2] = block
         return h
@@ -535,6 +552,7 @@ class CovertDFamily(ResidualFamily):
         self.b1 = np.asarray(b1, dtype=float)  # dg3/dP
         self.k_w = float(k_w)
         self._o = 2 if has_q else 0
+        self.hess_pattern = _diagonal_pattern(has_q, self._o + 1, self._o + 2)
 
     def values(self, V):
         o = self._o
@@ -594,6 +612,7 @@ class CovertEFamily(ResidualFamily):
         self.gp = np.asarray(gp, dtype=float)                # beta1 / denominator
         self.e_c = float(e_c)                                # 1 + H^2/var
         self._o = 2 if has_q else 0
+        self.hess_pattern = _diagonal_pattern(has_q, self._o + 1, self._o + 2)
 
     def values(self, V):
         o = self._o

@@ -12,14 +12,34 @@ start (Boyd & Vandenberghe, Convex Optimization, 11.3): damped Newton
 centering with a feasibility-then-Armijo backtracking line search, geometric
 shrink of mu, and a duality-gap stop at m * mu. Iterates stay strictly
 feasible throughout; a start that is not strictly interior is an error, not
-something the solver repairs. Every Newton system is one banded Cholesky
-solve, the band as wide as the widest nonlinear residual's variable span (a
-dense nonlinear row makes it a dense Cholesky), plus a Woodbury correction for
-the linear rows wider than the band, which keeps the cost per step linear in
-the number of slots. A factorization that fails to round-off is retried on a
-ridge ladder (a growing multiple of the identity added to the diagonal).
-Gradient and Hessian entries are scattered with one precomputed index per
-solve. Everything is deterministic: no randomized pivoting, no restarts.
+something the solver repairs.
+
+Each line-search trial is tested family by family, the linear families first
+and then the nonlinear ones, and the test stops at the first family with a
+residual that is not < 0. Families mark points outside their domain with NaN,
+which fails that comparison, so NaN means "violated" without a nan_to_num
+pass. Only a trial inside the domain gets all its values, stored in family
+order, and its merit; the accepted trial's values (and its merit while mu is
+unchanged) then serve the next Newton step, which evaluates no residual
+itself.
+
+Every Newton system is one banded Cholesky solve plus a Woodbury correction
+for the linear rows wider than the band, which keeps the cost per step linear
+in the number of slots. The band is as wide as the widest nonlinear
+residual's variable span (a dense nonlinear row makes it a dense Cholesky), or
+as a linear family of span w and r rows with w^2 <= r. A factorization that
+fails to round-off is retried on a ridge ladder (a growing multiple of the
+identity added to the diagonal). Gradient and Hessian entries are scattered
+with one precomputed index per solve, and what does not change within a
+solve is built once: the linear families' scaled gradients and G G^T entries,
+and the scaled constant Hessians. Other nonlinear Hessians contribute only on
+the nonzero pattern their family declares.
+
+A centering that cannot go on, because no trial within max_backtracks is
+acceptable or the Newton decrement is not finite and positive, ends the solve
+with status "stalled" at the current interior iterate; "max_iters" means the
+Newton budget ran out. Everything is deterministic: no randomized pivoting,
+no restarts.
 """
 
 from __future__ import annotations
@@ -69,11 +89,13 @@ class KktReport:
 class SolverResult:
     variables: np.ndarray
     objective: float
-    status: str             # "optimal" | "max_iters"
+    status: str             # "optimal" | "max_iters" | "stalled"
     kkt: KktReport
     iterations: int
     gap: float              # duality-gap bound m * mu at exit
     message: str = ""
+    backtracks: int = 0     # line-search trials rejected (each shrinks t by ls_beta)
+    merit_evals: int = 0    # trials inside the domain, so their merit was computed
 
 
 @dataclass
@@ -101,7 +123,8 @@ def residual_values(families, v: np.ndarray) -> np.ndarray:
 
 
 class _Work:
-    """Band layout, scatter indices and scaled views for one problem instance."""
+    """Band layout, scatter indices, scaled views and the per-solve constants
+    of one problem instance. Everything here lives as long as one solve."""
 
     def __init__(self, problem):
         self.families = list(problem.families)
@@ -109,86 +132,163 @@ class _Work:
         self.d = self.scale.size
         self.c_w = np.asarray(problem.obj_coef, dtype=float) * self.scale
         self.m = sum(f.m for f in self.families)
+        ends = np.cumsum([f.m for f in self.families])
+        self.rows = [slice(e - f.m, e) for f, e in zip(self.families, ends)]
 
-        # the band is as wide as the widest nonlinear row; linear rows wider
-        # than that turn into low-rank dyad corrections
+        # the band is as wide as the widest nonlinear row, or as a linear
+        # family of span w and r rows with w^2 <= r (widening the band costs
+        # about d w^2, dyads about d r); wider linear rows become low-rank
+        # dyad corrections
         live = [fi for fi, f in enumerate(self.families) if f.m]
         span = {fi: int((self.families[fi].idx.max(axis=1)
                          - self.families[fi].idx.min(axis=1)).max()) for fi in live}
-        band = max((span[fi] for fi in live if not self.families[fi].is_linear),
-                   default=0)
+        band = max((span[fi] for fi in live if not self.families[fi].is_linear
+                    or span[fi] ** 2 <= self.families[fi].m), default=0)
         self.wide = {fi for fi in live if span[fi] > band}
         self.band = band
+        self.live = live
         self.s_gath = [self.scale[f.idx] for f in self.families]
+        # line-search trials test the cheap linear rows first
+        self.trial_order = ([fi for fi in live if self.families[fi].is_linear]
+                            + [fi for fi in live if not self.families[fi].is_linear])
 
-        # one scatter index per solve: np.bincount adds its weights in index
-        # order, the order np.add.at would take them family by family
+        # gradient weights: c_w, then each family's (m, k) rows; one scatter
+        # index per solve, and np.bincount adds its weights in index order,
+        # the order np.add.at would take them family by family
         self.grad_index = np.concatenate(
             [np.arange(self.d)] + [self.families[fi].idx.ravel() for fi in live])
-        hess_parts = [np.zeros(0, dtype=np.int64)]
+        self.grad_w = np.empty(self.grad_index.size)
+        self.grad_w[:self.d] = self.c_w
+        self.grad_rows, pos = {}, self.d
         for fi in live:
+            f = self.families[fi]
+            self.grad_rows[fi] = self.grad_w[pos:pos + f.m * f.k].reshape(f.m, f.k)
+            pos += f.m * f.k
+
+        # band weights, family by family, only at the local (i, j) entries
+        # that land in upper band storage (idx_i <= idx_j) in some row, in
+        # row-major order; where a row's entry does not, it goes to one
+        # trailing bin that is dropped after the scatter. Per-solve constants:
+        # the scaled gradient rows of the linear families and their G G^T
+        # entries; the kept entries of each nonlinear Hessian's nonzero
+        # pattern, scaled once when the Hessian is constant.
+        self.g_lin, self.gg_lin, self.h_pairs, self.h_pat, self.h_const = {}, {}, {}, {}, {}
+        hess_parts, pos = [np.zeros(0, dtype=np.int64)], 0
+        for fi in live:
+            f, s = self.families[fi], self.s_gath[fi]
+            if f.is_linear:
+                self.g_lin[fi] = f.grads(np.zeros((f.m, f.k))) * s
             if fi in self.wide:
                 continue  # low-rank dyads, not band entries
-            idx = self.families[fi].idx
-            ii, jj = idx[:, :, None], idx[:, None, :]
-            # upper band storage; lower-triangle entries go to one trailing
-            # bin that is dropped after the scatter
-            tgt = np.where(ii <= jj, (band + ii - jj) * self.d + jj,
-                           (band + 1) * self.d)
-            hess_parts.append(tgt.ravel())
+            keep = f.idx[:, :, None] <= f.idx[:, None, :]
+            P, Q = np.nonzero(keep.any(axis=0))
+            ii, jj = f.idx[:, P], f.idx[:, Q]
+            hess_parts.append(np.where(keep[:, P, Q], (band + ii - jj) * self.d + jj,
+                                       (band + 1) * self.d).ravel())
+            self.h_pairs[fi] = (P, Q, slice(pos, pos + f.m * P.size))
+            pos += f.m * P.size
+            if f.is_linear:
+                self.gg_lin[fi] = self.g_lin[fi][:, P] * self.g_lin[fi][:, Q]
+                continue
+            at = {pq: n for n, pq in enumerate(zip(P.tolist(), Q.tolist()))}
+            kept = [pq for pq in (f.hess_pattern or at) if pq in at]
+            pi = np.array([i for i, _ in kept], dtype=np.int64)
+            pj = np.array([j for _, j in kept], dtype=np.int64)
+            self.h_pat[fi] = (np.array([at[pq] for pq in kept], dtype=np.int64),
+                              pi, pj, s[:, pi], s[:, pj])
+            if f.hess_constant:
+                self.h_const[fi] = f.hess(np.zeros((f.m, f.k)))[:, pi, pj] * s[:, pi] * s[:, pj]
         self.hess_index = np.concatenate(hess_parts)
+        self.hess_w = np.empty(pos)
         self.hess_size = (band + 1) * self.d
 
     def values(self, v: np.ndarray) -> np.ndarray:
         return residual_values(self.families, v)
 
-    def gradient(self, rows: list) -> np.ndarray:
-        """c_w plus the per-family (m, k) gradient rows, scattered in one pass."""
-        w = np.concatenate([self.c_w, *(r.ravel() for r in rows)])
-        return np.bincount(self.grad_index, w, minlength=self.d)
+    def gradient(self) -> np.ndarray:
+        """c_w plus the gradient rows written to grad_rows, scattered in one pass."""
+        return np.bincount(self.grad_index, self.grad_w, minlength=self.d)
 
-    def hessian(self, blocks: list) -> np.ndarray:
-        """Flat upper band storage from per-family (m, k, k) blocks.
-
-        Blocks come in family order, without the wide families.
-        """
-        w = np.concatenate([np.zeros(0), *(b.ravel() for b in blocks)])
-        return np.bincount(self.hess_index, w, minlength=self.hess_size)[:self.hess_size]
+    def hessian(self) -> np.ndarray:
+        """Upper band storage (band + 1, d) of the weights written to hess_w."""
+        flat = np.bincount(self.hess_index, self.hess_w, minlength=self.hess_size)
+        return flat[:self.hess_size].reshape(self.band + 1, self.d)
 
     def objective_w(self, v: np.ndarray) -> float:
         return float(self.c_w @ (v / self.scale))
 
 
-def _eval_pieces(work: _Work, v: np.ndarray, mu: float):
-    """Barrier gradient (scaled coords) and per-family pieces at an interior v."""
+def _trial_values(work: _Work, v: np.ndarray) -> np.ndarray | None:
+    """Residual values at a line-search trial, or None outside the domain.
+
+    Families are tested in work.trial_order, and the test stops at the first
+    one with a residual that is not < 0; NaN compares false, so it fails
+    without nan_to_num. A trial that passes gets its values in family order,
+    the array residual_values returns there.
+    """
+    out = np.empty(work.m)
+    for fi in work.trial_order:
+        f = work.families[fi]
+        vals = f.values(v[f.idx])
+        if not np.max(vals) < 0.0:
+            return None
+        out[work.rows[fi]] = vals
+    return out
+
+
+def _eval_pieces(work: _Work, v: np.ndarray, mu: float, vals=None):
+    """Barrier gradient (scaled coords) and per-family pieces at an interior v.
+
+    vals, when given, are the residual values at v in family order (the
+    accepted line-search trial's), so they are not evaluated again.
+    """
+    if vals is None:
+        vals = work.values(v)
     pieces = []
-    for fi, f in enumerate(work.families):
-        if f.m == 0:
-            continue
+    for fi in work.live:
+        f = work.families[fi]
         V = v[f.idx]
-        vals = f.values(V)
-        w2 = mu / (-vals)
-        G_w = f.grads(V) * work.s_gath[fi]
-        pieces.append((fi, V, vals, G_w, w2))
-    return work.gradient([G_w * w2[:, None] for _, _, _, G_w, w2 in pieces]), pieces
+        c = vals[work.rows[fi]]
+        w2 = mu / (-c)
+        G_w = work.g_lin.get(fi)
+        if G_w is None:
+            G_w = f.grads(V) * work.s_gath[fi]
+        np.multiply(G_w, w2[:, None], out=work.grad_rows[fi])
+        pieces.append((fi, V, c, G_w, w2))
+    return work.gradient(), pieces
 
 
-def _phi(work: _Work, v: np.ndarray, mu: float) -> float:
-    vals = work.values(v)
-    mx = float(np.max(vals)) if vals.size else -math.inf
-    if mx >= 0.0:
-        return math.inf
+def _phi(work: _Work, v: np.ndarray, mu: float, vals=None) -> float:
+    """Barrier merit at v, inf outside the domain; vals as in _eval_pieces."""
+    if vals is None:
+        vals = _trial_values(work, v)
+        if vals is None:
+            return math.inf
     return work.objective_w(v) - mu * float(np.sum(np.log(-vals)))
 
 
-def _hess_block(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> np.ndarray:
-    """Barrier Hessian blocks (m, k, k) of one family, scaled coordinates."""
-    f = work.families[fi]
-    blocks = (mu / (vals * vals))[:, None, None] * np.einsum("mi,mj->mij", G_w, G_w)
-    if not f.is_linear:
-        s = work.s_gath[fi]
-        blocks = blocks + w2[:, None, None] * (f.hess(V) * s[:, :, None] * s[:, None, :])
-    return blocks
+def _band_weights(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> None:
+    """Write one family's barrier Hessian entries (scaled coordinates) to hess_w.
+
+    mu G G^T / c^2 at the kept entries, plus w2 (H s_i) s_j on the kept
+    entries of the Hessian's nonzero pattern: the same sums as over the
+    whole (m, k, k) block.
+    """
+    P, Q, sl = work.h_pairs[fi]
+    out = work.hess_w[sl].reshape(vals.size, P.size)
+    coef = (mu / (vals * vals))[:, None]
+    GG = work.gg_lin.get(fi)
+    if GG is None:
+        np.multiply(G_w[:, P], G_w[:, Q], out=out)
+        out *= coef
+    else:
+        np.multiply(coef, GG, out=out)
+    if fi in work.h_pat:
+        at, pi, pj, s_i, s_j = work.h_pat[fi]
+        h = work.h_const.get(fi)
+        if h is None:
+            h = work.families[fi].hess(V)[:, pi, pj] * s_i * s_j
+        out[:, at] += h * w2[:, None]
 
 
 def _ridge_ladder(solve_shifted, diag: np.ndarray) -> np.ndarray:
@@ -209,11 +309,11 @@ def _ridge_ladder(solve_shifted, diag: np.ndarray) -> np.ndarray:
 
 def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
     d, u = work.d, work.band
-    blocks, dyad_cols = [], []
+    dyad_cols = []
     for piece in pieces:
         fi, _, vals, G_w, _ = piece
         if fi not in work.wide:
-            blocks.append(_hess_block(work, mu, *piece))
+            _band_weights(work, mu, *piece)
             continue
         # H contribution mu * G G^T / c^2 == a a^T, a = sqrt(mu) G / |c|
         f = work.families[fi]
@@ -222,7 +322,7 @@ def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
             a = np.zeros(d)
             a[f.idx[r]] = coef[r] * G_w[r]
             dyad_cols.append(a)
-    ab = work.hessian(blocks).reshape(u + 1, d)
+    ab = work.hessian()
     A = np.stack(dyad_cols, axis=1) if dyad_cols else None
 
     def solve_shifted(ridge):
@@ -240,13 +340,14 @@ def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
     return _ridge_ladder(solve_shifted, ab[u])
 
 
-def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
+def _barrier_minimize(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
                       settings: SolverSettings, log=None) -> SolverResult:
     scale = work.scale
-    v = v0.copy()
+    v, vals = v0.copy(), vals0
     m = work.m
     mu = settings.barrier_mu_init
-    total = 0
+    phi0 = None  # barrier merit at v for the current mu, once known
+    total = backtracks = merit_evals = 0
     status = "optimal"
     message = ""
     done = False
@@ -260,13 +361,15 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
         steps_here = 0
         prev_dec2 = math.inf
         while True:
-            g, pieces = _eval_pieces(work, v, mu)
+            g, pieces = _eval_pieces(work, v, mu, vals)
             p = _newton_banded(work, pieces, g, mu)
             dec2 = float(-g @ p)
             if not np.isfinite(dec2) or dec2 <= 0:
+                status, done = "stalled", True
+                message = f"Newton decrement^2 {dec2:.3g} at mu {mu:.3g}"
                 break
-            phi0 = work.objective_w(v) - mu * float(
-                np.sum(np.log(-np.concatenate([pc[2] for pc in pieces]))))
+            if phi0 is None:
+                phi0 = _phi(work, v, mu, vals)
             if 0.5 * dec2 <= ctol * max(1.0, abs(phi0)):
                 break
             # float-precision stall: small decrement no longer contracting
@@ -278,24 +381,34 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
                 status, message, done = "max_iters", "newton budget exhausted", True
                 break
             slope = float(g @ p)
-            t, ok, phi1, cand = 1.0, False, math.inf, v
+            step = p * scale
+            t, ok, phi1 = 1.0, False, math.inf
             for _ in range(settings.max_backtracks):
-                cand = v + t * (p * scale)
-                phi1 = _phi(work, cand, mu)
+                cand = v + t * step
+                cand_vals = _trial_values(work, cand)
+                phi1 = math.inf
+                if cand_vals is not None:
+                    merit_evals += 1
+                    phi1 = _phi(work, cand, mu, cand_vals)
                 if phi1 <= phi0 + settings.ls_alpha * t * slope:
                     ok = True
                     break
+                backtracks += 1
                 t *= settings.ls_beta
             total += 1
             steps_here += 1
             prev_dec2 = dec2
             if log is not None:
-                worst = float(np.max(np.concatenate([pc[2] for pc in pieces])))
                 log.write(f"{total},{mu:.6g},{phi1:.12g},{t:.6g},"
-                          f"{dec2:.6g},{worst:.6g}\n")
-            if not ok or phi0 - phi1 < 1e-16 * max(1.0, abs(phi0)):
+                          f"{dec2:.6g},{float(np.max(vals)):.6g}\n")
+            if not ok:
+                status, done = "stalled", True
+                message = (f"no acceptable step in {settings.max_backtracks} "
+                           f"backtracks at mu {mu:.3g}")
+                break
+            if phi0 - phi1 < 1e-16 * max(1.0, abs(phi0)):
                 break  # stalled at numerical precision: accept as centered
-            v = cand
+            v, vals, phi0 = cand, cand_vals, phi1
         if done:
             break
         if gap_hit and steps_here < step_cap:
@@ -303,6 +416,7 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
         if gap_hit:
             continue  # gap reached but final centering was cut short: finish it
         mu *= settings.barrier_shrink
+        phi0 = None
 
     vals = work.values(v)
     duals = mu / np.maximum(-vals, 1e-300)
@@ -314,6 +428,7 @@ def _barrier_minimize(work: _Work, problem, v0: np.ndarray,
     return SolverResult(
         variables=v, objective=float(np.asarray(problem.obj_coef) @ v),
         status=status, kkt=kkt, iterations=total, gap=m * mu, message=message,
+        backtracks=backtracks, merit_evals=merit_evals,
     )
 
 
@@ -324,15 +439,11 @@ def _gap_target(work: _Work, v: np.ndarray, settings: SolverSettings) -> float:
 
 
 def _stationarity(work: _Work, v: np.ndarray, duals: np.ndarray) -> float:
-    rows = []
-    pos = 0
-    for fi, f in enumerate(work.families):
-        if f.m == 0:
-            continue
+    for fi in work.live:
+        f = work.families[fi]
         G_w = f.grads(v[f.idx]) * work.s_gath[fi]
-        rows.append(G_w * duals[pos:pos + f.m, None])
-        pos += f.m
-    return float(np.max(np.abs(work.gradient(rows))))
+        np.multiply(G_w, duals[work.rows[fi], None], out=work.grad_rows[fi])
+    return float(np.max(np.abs(work.gradient())))
 
 
 def solve(problem, start: np.ndarray | None = None,
@@ -360,11 +471,11 @@ def solve(problem, start: np.ndarray | None = None,
         raise ValueError(f"start is not strictly interior: residual "
                          f"{labels[worst]} = {vals0[worst]:.3e}")
     if log_path is None:
-        return _barrier_minimize(work, problem, v0, settings)
+        return _barrier_minimize(work, problem, v0, vals0, settings)
     from pathlib import Path
 
     with Path(log_path).open("w", encoding="utf-8") as log:
-        return _barrier_minimize(work, problem, v0, settings, log=log)
+        return _barrier_minimize(work, problem, v0, vals0, settings, log=log)
 
 
 # ---------------------------------------------------------------------------

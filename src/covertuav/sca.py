@@ -48,6 +48,8 @@ POWER_FLOOR_INIT = 1e-8  # W, smallest uniform power the initializer will emit
 # passes roughly double a small ACTR, so sca_tolerance alone would stop a
 # scenario that starts below it after one solve.
 CONVERGED_RTOL = 1e-2
+# solver statuses that end the outer loop at the solve's (feasible) iterate
+_SOLVE_STOPS = {"max_iters": "subproblem_newton_cap", "stalled": "subproblem_stalled"}
 
 
 class InfeasibleScenarioError(ScenarioError):
@@ -363,8 +365,8 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
         )
         objectives.append(rates.mean)
         points.append(exp)
-        if res.status == "max_iters":
-            reason = "subproblem_newton_cap"
+        if res.status in _SOLVE_STOPS:
+            reason = _SOLVE_STOPS[res.status]
             break
         step = abs(objectives[-1] - objectives[-2])
         if step <= cfg.sca_tolerance and step <= CONVERGED_RTOL * objectives[-1]:

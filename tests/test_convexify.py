@@ -359,6 +359,28 @@ class TestAssembledSubproblem:
                 assert np.all(np.abs(H[:, col] - num) <= 1e-4 * scale + 1e-6), \
                     f"{fam.name} row {row} col {col}"
 
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_hessian_declarations_hold(self, cfg, rng, fixed):
+        # the solver adds Hessian entries only on the declared pattern and
+        # builds constant Hessians once per solve
+        sub = assemble_subproblem(initial_point(cfg), cfg, fixed_trajectory=fixed)
+        v = sub.start
+        lay = sub.layout
+        q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
+        w = v * np.exp(rng.normal(0, 0.2, v.size))
+        w[q_cols] = v[q_cols] + rng.normal(0, 2.0, q_cols.size)
+        for fam in sub.families:
+            if fam.is_linear or fam.m == 0:
+                continue
+            H = fam.hess(fam.gather(v))
+            off = np.ones((fam.k, fam.k), dtype=bool)
+            for i, j in fam.hess_pattern:
+                off[i, j] = False
+            assert np.all(H[:, off] == 0.0), fam.name
+            assert np.any(H[:, ~off] != 0.0), fam.name
+            if fam.hess_constant:
+                assert np.array_equal(fam.hess(fam.gather(w)), H), fam.name
+
     def test_residual_midpoint_convexity(self, sub, rng):
         # random midpoint checks per family on in-domain perturbations of the
         # start (multiplicative jitter keeps the positive variables positive)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertuav import cvxsolver
-from covertuav.convexify import LinearFamily, ResidualFamily
+from covertuav.convexify import LinearFamily, ResidualFamily, assemble_subproblem
 from covertuav.cvxsolver import (
     BarrierProblem,
     SolverSettings,
@@ -12,9 +14,12 @@ from covertuav.cvxsolver import (
     _eval_pieces,
     _newton_banded,
     _phi,
+    _trial_values,
     check_kkt,
+    residual_values,
     solve,
 )
+from covertuav.sca import ScaSettings, initial_point
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -249,6 +254,8 @@ class TestRobustness:
                              "chain", [f"chain[{i}]" for i in range(d - 2)])]
         prob = BarrierProblem(-np.ones(d), fams, np.zeros(d), np.ones(d))
         work = _Work(prob)
+        # the 62-row chain of span 1 widens the band to 1, not 62 dyads
+        assert work.band == 1 and work.wide == set()
 
         outcomes = []
         solveh_banded = cvxsolver.sla.solveh_banded
@@ -299,3 +306,137 @@ class TestRobustness:
             phi = _phi(work, v, mu)
             assert phi <= last + 1e-12
             last = phi
+
+    def test_production_band_layouts(self, cfg):
+        # JTP rows span 9 variables, STP rows 5; only the average-power row,
+        # one row over every power, is a Woodbury dyad
+        exp = initial_point(cfg)
+        for fixed, band in ((False, 9), (True, 5)):
+            sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed)
+            work = _Work(sub)
+            assert work.band == band
+            assert [sub.families[fi].name for fi in work.wide] == ["power_avg"]
+
+    def test_first_study_solves_pinned(self, cfg):
+        # the first subproblem of the T = 200 s study, as the planner solves
+        # it: a change to any Newton iterate moves these figures
+        study = cfg.with_updates(flight_period_T=200.0)
+        exp = initial_point(study)
+        for fixed, iterations, objective in ((False, 59, -0.0003328902608791256),
+                                             (True, 59, -0.00033273641347873447)):
+            sub = assemble_subproblem(exp, study, fixed_trajectory=fixed)
+            res = solve(sub, settings=ScaSettings().solver)
+            assert res.status == "optimal"
+            assert res.iterations == iterations
+            assert res.objective == pytest.approx(objective, rel=1e-12)
+
+
+class NanAbove(ResidualFamily):
+    """-1 while variable j stays at or below cap, NaN above it."""
+
+    name = "nan_above"
+
+    def __init__(self, j, cap):
+        super().__init__(np.array([[j]]), ["nan_above"])
+        self.cap = cap
+
+    def values(self, V):
+        return np.where(V[:, 0] <= self.cap, -1.0, np.nan)
+
+
+class SqrtDomain(ResidualFamily):
+    """x - 2 sqrt(x) <= 0, convex on x >= 0 and NaN below it.
+
+    Records how many NaN values it returned and every point the solver took
+    a gradient at, which are the accepted iterates.
+    """
+
+    name = "sqrt_domain"
+
+    def __init__(self):
+        super().__init__(np.array([[0]]), ["sqrt_domain"])
+        self.nans = 0
+        self.grad_points = []
+
+    def values(self, V):
+        with np.errstate(invalid="ignore"):
+            out = V[:, 0] - 2.0 * np.sqrt(V[:, 0])
+        self.nans += int(np.isnan(out).sum())
+        return out
+
+    def grads(self, V):
+        self.grad_points.extend(V[:, 0].tolist())
+        return (1.0 - 1.0 / np.sqrt(V[:, 0]))[:, None]
+
+    def hess(self, V):
+        return (0.5 * V[:, 0] ** -1.5).reshape(-1, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def newton_steps(small_cfg):
+    """(JTP or STP subproblem, its Newton step from the start) at mu 1 and 1e-3."""
+    exp = initial_point(small_cfg)
+    out = []
+    for fixed in (False, True):
+        sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
+        work = _Work(sub)
+        for mu in (1.0, 1e-3):
+            g, pieces = _eval_pieces(work, sub.start, mu)
+            out.append((sub, _newton_banded(work, pieces, g, mu) * work.scale))
+    return out
+
+
+class TestLineSearch:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.integers(0, 3), quarter_log2_t=st.integers(-8, 16),
+           nan_var=st.floats(0.0, 1.0, exclude_max=True),
+           quarter_log2_cap=st.one_of(st.none(), st.integers(-16, 16)))
+    def test_trial_values_match_residual_values(self, newton_steps, case,
+                                                quarter_log2_t, nan_var,
+                                                quarter_log2_cap):
+        # trials t = 2^(k/4) along a Newton step (t >= 4 leaves the domain),
+        # some with a family that turns NaN past a cap on one variable
+        sub, step = newton_steps[case]
+        families = list(sub.families)
+        if quarter_log2_cap is not None:
+            j = int(nan_var * step.size)
+            cap = sub.start[j] + abs(step[j]) * 2.0 ** (quarter_log2_cap / 4)
+            families.append(NanAbove(j, cap))
+        prob = BarrierProblem(sub.obj_coef, families, sub.start, sub.var_scale)
+        cand = sub.start + 2.0 ** (quarter_log2_t / 4) * step
+        got = _trial_values(_Work(prob), cand)
+        ref = residual_values(families, cand)
+        if np.max(ref) >= 0.0:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == ref.tobytes()
+
+    def test_trial_values_cover_both_outcomes(self, newton_steps):
+        # the property above sees inside and outside points on every step
+        for sub, step in newton_steps:
+            work = _Work(sub)
+            assert _trial_values(work, sub.start + 2.0 ** -24 * step) is not None
+            assert _trial_values(work, sub.start + 16.0 * step) is None
+
+    @pytest.mark.parametrize("x0", [0.5, 1.0, 3.9])
+    def test_nan_outside_the_domain_is_never_accepted(self, x0):
+        # min x over x - 2 sqrt(x) <= 0: the optimum x = 0 sits on the edge of
+        # the family's domain, so full Newton steps land where it is NaN
+        fam = SqrtDomain()
+        res = solve(BarrierProblem(np.array([1.0]), [fam], np.array([x0]), np.ones(1)))
+        assert fam.nans > 0
+        assert res.status == "optimal"
+        assert min(fam.grad_points) > 0.0
+        assert 0.0 < res.variables[0] < 1e-8
+        assert res.merit_evals >= res.iterations
+
+    def test_failed_line_search_reports_stalled(self):
+        # at mu = 1e-3 the full Newton step from x = 1 lands near x = 801,
+        # outside the box, and one backtrack allows no shorter trial
+        prob = one_d_problem()
+        res = solve(prob, settings=SolverSettings(barrier_mu_init=1e-3, max_backtracks=1))
+        assert res.status == "stalled"
+        assert "no acceptable step" in res.message
+        assert np.array_equal(res.variables, prob.start)
+        assert (res.iterations, res.backtracks, res.merit_evals) == (1, 1, 0)
+        assert res.kkt.primal < 0.0

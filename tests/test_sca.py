@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from covertuav.convexify import assemble_subproblem, exact_feasibility, exact_feasible
+from covertuav.cvxsolver import SolverSettings
 from covertuav.detection import DetectionModel, lambda_of
 from covertuav.scenario import baseline_config
 from covertuav.sca import (
@@ -146,6 +147,18 @@ class TestScaLoop:
         assert trace.subproblem_solves > 1
         assert trace.stop_reason == "converged"
         assert plan.actr > 1e-3
+
+    @pytest.mark.parametrize("runner", [run_jtp, run_stp])
+    def test_stalled_solve_stops_the_loop(self, small_cfg, runner):
+        # one backtrack per Newton step: the first solve's line search fails,
+        # and the loop keeps that solve's interior iterate and stops
+        settings = ScaSettings(solver=SolverSettings(max_iters=600, max_backtracks=1))
+        plan, trace = runner(small_cfg, settings=settings)
+        assert trace.stop_reason == "subproblem_stalled"
+        assert plan.status == "subproblem_stalled"
+        assert trace.subproblem_solves == 1
+        assert plan.feasible
+        assert trace.objectives[1] >= trace.objectives[0]
 
     def test_fixed_point_restart(self, small_cfg, small_runs):
         (plan, trace), _ = small_runs
