@@ -21,7 +21,7 @@ from .scenario import (
     load_config,
 )
 from .detection import DetectionModel, NoncentralChi2, xi_lower_bound
-from .convexify import ExpansionPoint, SlackVars, ConvexSubproblem, assemble_subproblem
+from .convexify import ExpansionPoint, ConvexSubproblem, assemble_subproblem
 from .cvxsolver import SolverSettings, SolverResult, solve, check_kkt
 from .sca import (
     Plan,
@@ -41,7 +41,7 @@ __all__ = [
     "ScenarioConfig", "Trajectory", "PowerSchedule", "RateSchedule",
     "ScenarioError", "ConfigParseError", "baseline_config", "load_config",
     "DetectionModel", "NoncentralChi2", "xi_lower_bound",
-    "ExpansionPoint", "SlackVars", "ConvexSubproblem", "assemble_subproblem",
+    "ExpansionPoint", "ConvexSubproblem", "assemble_subproblem",
     "SolverSettings", "SolverResult", "solve", "check_kkt",
     "Plan", "ScaSettings", "ScaTrace", "InfeasibleScenarioError",
     "initial_point", "line_segment_trajectory", "run_jtp", "run_stp",

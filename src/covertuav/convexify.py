@@ -4,31 +4,35 @@ The planner's constraints mix a chance constraint on the receiver's outage, a
 covertness floor on the warden's average error rate, and the flight envelope.
 This module turns them into a smooth convex subproblem:
 
-* the outage chance constraint becomes three deterministic residuals per slot
-  (a conservative quadratic inequality, a second-order-cone bound on its slack,
-  and slack lower bounds);
-* the covertness constraint becomes three residuals per slot built from
+* the outage chance constraint becomes one conservative quadratic inequality
+  per slot; its bound slack and its second-order-cone slack enter with
+  positive weights, so both sit at their closed-form optima (var_bob and the
+  cone's norm, a smooth convex function of the waypoint) instead of being
+  variables;
+* the covertness constraint becomes two residuals per slot built from
   first-order surrogates g1..g5 that bound the true nonlinearities on the safe
   side and are tangent at the expansion point, so any point feasible for the
-  subproblem is feasible for the original constraints;
+  subproblem is feasible for the original constraints; the tangent-bound
+  slack on lambda + 1 sits at its optimum g5(q) + 1, which is affine in the
+  waypoint, since both rows fall as it grows;
 * mobility and power limits enter directly (steps are capped in squared form,
   which stays smooth when consecutive waypoints coincide while hovering).
 
-Every residual is exposed with analytic gradient and Hessian on its own
-variable support; the solver consumes the vectorized family view, and tests
-consume the per-row view.
+The slack forms themselves, bti_outage_residuals and covertness_residuals,
+stay as reference oracles. Every residual is exposed with analytic gradient
+and Hessian on its own variable support; the solver consumes the vectorized
+family view, and tests consume the per-row view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .cvxsolver import residual_values
-from .detection import DetectionModel, POSITIVE_FLOOR
+from .detection import POSITIVE_FLOOR, DetectionModel, lambda_of, xi_lower_bound
 from .scenario import (
     FEAS_RTOL,
     RATE_FLOOR,
@@ -36,6 +40,8 @@ from .scenario import (
     RateSchedule,
     ScenarioConfig,
     Trajectory,
+    check_mobility,
+    check_power,
 )
 
 # Lower bounds for subproblem variables whose residuals involve sqrt or 1/x.
@@ -59,7 +65,7 @@ class InfeasibleExpansionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# expansion point and slacks
+# expansion point
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -67,25 +73,18 @@ class ExpansionPoint:
     """Feasible point the surrogates are linearized around.
 
     u1_tilde parametrizes the bilinear-sqrt surrogate and must be positive.
-    The slack arrays are the warm-start values of the remaining slacks; with
-    the expansion point itself they make the subproblem's start, which must
-    be strictly feasible.
+    The expansion point itself is the subproblem's start, which must be
+    strictly feasible.
     """
 
     traj_tilde: Trajectory
     p_tilde: PowerSchedule
     r_tilde: RateSchedule
     u1_tilde: np.ndarray
-    y1_start: np.ndarray
-    z1_start: np.ndarray
-    u2_start: np.ndarray
 
     def __post_init__(self):
         u1 = np.asarray(self.u1_tilde, dtype=float).reshape(-1).copy()
-        n = len(self.traj_tilde)
-        if not (len(self.p_tilde) == len(self.r_tilde) == u1.size == n
-                == np.size(self.y1_start) == np.size(self.z1_start)
-                == np.size(self.u2_start)):
+        if not len(self.p_tilde) == len(self.r_tilde) == u1.size == len(self.traj_tilde):
             raise ValueError("expansion point arrays disagree on slot count")
         if np.any(u1 < POSITIVE_FLOOR):
             raise ValueError("u1_tilde must be positive")
@@ -95,16 +94,6 @@ class ExpansionPoint:
     @property
     def num_slots(self) -> int:
         return len(self.traj_tilde)
-
-
-@dataclass
-class SlackVars:
-    """Auxiliary per-slot variables introduced by the convexification."""
-
-    y1: np.ndarray
-    z1: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +236,12 @@ def covertness_residuals(q, p, u1, u2, exp_pt: ExpansionPoint, model: DetectionM
 # variable layout
 # ---------------------------------------------------------------------------
 
-_SLOT_FIELDS = ("p", "r", "y1", "z1", "u1", "u2")
-
-
 @dataclass(frozen=True)
 class VarLayout:
     """Maps per-slot named variables to flat vector indices.
 
-    Waypoints may be fixed (the final one always is; all of them are in the
+    Each slot holds (qx, qy, p, r, u1) in that order, or (p, r, u1) when its
+    waypoint is fixed (the final one always is; all of them are in the
     power-only scheme); fixed waypoints carry index -1.
     """
 
@@ -264,39 +251,21 @@ class VarLayout:
     qy: np.ndarray
     p: np.ndarray
     r: np.ndarray
-    y1: np.ndarray
-    z1: np.ndarray
     u1: np.ndarray
-    u2: np.ndarray
     n_var: int
 
     @classmethod
     def build(cls, n_slots: int, traj_free: bool) -> "VarLayout":
-        idx = {name: np.full(n_slots, -1, dtype=np.int64) for name in
-               ("qx", "qy", "p", "r", "y1", "z1", "u1", "u2")}
-        pos = 0
-        for n in range(n_slots):
-            q_free = traj_free and n < n_slots - 1
-            if q_free:
-                idx["qx"][n] = pos
-                idx["qy"][n] = pos + 1
-                pos += 2
-            for name in _SLOT_FIELDS:
-                idx[name][n] = pos
-                pos += 1
+        q_free = np.arange(n_slots) < (n_slots - 1 if traj_free else 0)
+        width = np.where(q_free, 5, 3)
+        first = np.cumsum(width) - width
+        p = first + np.where(q_free, 2, 0)
+        idx = {"qx": np.where(q_free, first, -1), "qy": np.where(q_free, first + 1, -1),
+               "p": p, "r": p + 1, "u1": p + 2}
         for name in idx:
+            idx[name] = idx[name].astype(np.int64)
             idx[name].flags.writeable = False
-        return cls(n_slots=n_slots, traj_free=traj_free, n_var=pos, **idx)
-
-    def var_names(self) -> list[str]:
-        names = [""] * self.n_var
-        for n in range(self.n_slots):
-            if self.qx[n] >= 0:
-                names[self.qx[n]] = f"q_x[{n}]"
-                names[self.qy[n]] = f"q_y[{n}]"
-            for fname in _SLOT_FIELDS:
-                names[getattr(self, fname)[n]] = f"{fname}[{n}]"
-        return names
+        return cls(n_slots=n_slots, traj_free=traj_free, n_var=int(width.sum()), **idx)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +317,6 @@ class ResidualFamily:
         raise NotImplementedError
 
 
-def _diagonal_pattern(has_q: bool, *cols: int) -> list:
-    """Diagonal Hessian entries at cols, plus (qx, qy) when q is free."""
-    return [(c, c) for c in ((0, 1) if has_q else ()) + cols]
-
-
 class LinearFamily(ResidualFamily):
     """Rows coef . v + const <= 0."""
 
@@ -377,8 +341,9 @@ class LinearFamily(ResidualFamily):
 class StepCapFamily(ResidualFamily):
     """Squared step-length caps |p1 - p2|^2 - L_eff^2 <= 0.
 
-    Rows either join two free waypoints (k = 4, columns x1 y1 x2 y2) or one
-    free waypoint and a constant anchor (k = 2).
+    Rows either join two free waypoints (k = 4, columns x, y of the earlier
+    one, then x, y of the later one) or one free waypoint and a constant
+    anchor (k = 2).
     """
 
     hess_constant = True
@@ -417,242 +382,198 @@ class StepCapFamily(ResidualFamily):
         return np.broadcast_to(h, (self.m,) + h.shape).copy()
 
 
-class OutageAFamily(ResidualFamily):
-    """Conservative outage inequality with the g1 surrogate substituted.
+class SlotFamily(ResidualFamily):
+    """One row per slot whose waypoint terms are either live or constant.
 
-    Row value: const + s_b z1 + a_b y1 + |q - bob|^2
-               + C1 (1/P - 1/Pt) + C2 2^Rt expm1(ln2 (R - Rt)) <= 0.
-    The two expansion-relative terms are kept in difference form: the raw
-    coefficients reach ~gamma0/(2^Rt - 1)^2, and evaluating them against a
-    separate constant would cancel ~1e10 against ~1e10 to produce a ~1e-4
-    residual. Columns: [qx, qy, P, R, y1, z1] when q is free, else
-    [P, R, y1, z1].
+    With has_q the first two columns are the slot's free waypoint (qx, qy)
+    and the row adds _q_value(q); otherwise the waypoint stays at q_t and
+    _q_value(q_t) joins const when the family is built. The other columns
+    carry _rest_value. The waypoint block of the Hessian is a full 2 x 2, and
+    the rest is diagonal on the columns listed in _curved.
     """
 
-    def __init__(self, idx, has_q, bob_est, const, c1, c2, p_t, r_t, s_b, a_b,
-                 name, row_labels):
+    _curved: tuple = ()
+
+    def __init__(self, idx, has_q, q_t, const, name, row_labels):
         super().__init__(idx, row_labels)
         self.name = name
         self.has_q = has_q
+        self.q_t = np.asarray(q_t, dtype=float)
+        self._o = o = 2 if has_q else 0
+        const = np.asarray(const, dtype=float)
+        self.const = const if has_q else const + self._q_value(self.q_t)
+        self.hess_pattern = ([(0, 0), (0, 1), (1, 0), (1, 1)] if has_q else []) + [
+            (o + c, o + c) for c in self._curved]
+
+    def values(self, V):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = self.const + self._rest_value(V[:, self._o:])
+            if self.has_q:
+                out = out + self._q_value(V[:, 0:2])
+        return out
+
+    def grads(self, V):
+        g = np.empty_like(V)
+        g[:, self._o:] = self._rest_grad(V[:, self._o:])
+        if self.has_q:
+            g[:, 0:2] = self._q_grad(V[:, 0:2])
+        return g
+
+    def hess(self, V):
+        h = np.zeros((self.m, self.k, self.k))
+        o = self._o
+        for c, h_cc in zip(self._curved, self._rest_hess(V[:, o:])):
+            h[:, o + c, o + c] = h_cc
+        if self.has_q:
+            h[:, 0:2, 0:2] = self._q_hess(V[:, 0:2])
+        return h
+
+
+class OutageAFamily(SlotFamily):
+    """Conservative outage inequality with optimal slacks and g1 substituted.
+
+    Row value: const + |q - bob|^2 + s_b sqrt(2 eps^4 + 2 eps^2 |q - bob|^2)
+               + C1 (1/P - 1/Pt) + C2 2^Rt expm1(ln2 (R - Rt)) <= 0,
+    with the bound slack's a_b eps^2 inside const. The square root is the
+    cone slack's norm: convex in q, and smooth because of the eps^4 term. The
+    two expansion-relative terms are kept in difference form: the raw
+    coefficients reach ~gamma0/(2^Rt - 1)^2, and evaluating them against a
+    separate constant would cancel ~1e10 against ~1e10 to produce a ~1e-4
+    residual. Columns: [qx, qy, P, R] when q is free, else [P, R].
+    """
+
+    _curved = (0, 1)
+
+    def __init__(self, idx, has_q, q_t, const, bob_est, eps2, s_b, c1, c2, p_t, r_t,
+                 name, row_labels):
         self.bob = np.asarray(bob_est, dtype=float)
-        self.const = np.asarray(const, dtype=float)  # includes fixed-q distance term
+        self.eps2 = float(eps2)
+        self.s_b = float(s_b)
         self.c1 = np.asarray(c1, dtype=float)
         self.c2rt = np.asarray(c2, dtype=float) * np.exp2(np.asarray(r_t, dtype=float))
         self.p_t = np.asarray(p_t, dtype=float)
         self.r_t = np.asarray(r_t, dtype=float)
-        self.s_b = float(s_b)
-        self.a_b = float(a_b)
-        self._o = 2 if has_q else 0  # column offset of P
-        self.hess_pattern = _diagonal_pattern(has_q, self._o, self._o + 1)
+        super().__init__(idx, has_q, q_t, const, name, row_labels)
 
-    def _cols(self, V):
-        o = self._o
-        return V[:, o], V[:, o + 1], V[:, o + 2], V[:, o + 3]
-
-    def values(self, V):
-        p, r, y1, z1 = self._cols(V)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = (
-                self.const
-                + self.s_b * z1
-                + self.a_b * y1
-                + self.c1 * (self.p_t - p) / (p * self.p_t)
-                + self.c2rt * np.expm1(math.log(2.0) * (r - self.r_t))
-            )
-        if self.has_q:
-            d = V[:, 0:2] - self.bob
-            out = out + np.sum(d * d, axis=1)
-        # 1/p is only the convex branch for positive power
-        return np.where(p > 0.0, out, np.inf)
-
-    def grads(self, V):
-        p, r, y1, z1 = self._cols(V)
-        g = np.zeros_like(V)
-        o = self._o
-        g[:, o] = -self.c1 / (p * p)
-        g[:, o + 1] = self.c2rt * math.log(2.0) * np.exp2(r - self.r_t)
-        g[:, o + 2] = self.a_b
-        g[:, o + 3] = self.s_b
-        if self.has_q:
-            g[:, 0:2] = 2.0 * (V[:, 0:2] - self.bob)
-        return g
-
-    def hess(self, V):
-        p, r, _, _ = self._cols(V)
-        h = np.zeros((self.m, self.k, self.k))
-        o = self._o
-        h[:, o, o] = 2.0 * self.c1 / (p**3)
-        h[:, o + 1, o + 1] = self.c2rt * math.log(2.0) ** 2 * np.exp2(r - self.r_t)
-        if self.has_q:
-            h[:, 0, 0] = 2.0
-            h[:, 1, 1] = 2.0
-        return h
-
-
-class OutageBFamily(ResidualFamily):
-    """Second-order-cone slack bound sqrt(2 eps^4 + 2 eps^2 |q - bob|^2) - z1 <= 0.
-
-    Columns [qx, qy, z1]; the eps^4 term bounds the norm away from zero, so the
-    row is smooth everywhere. Fixed-q slots reduce to linear rows and are
-    emitted elsewhere.
-    """
-
-    def __init__(self, idx, bob_est, eps2, name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
-        self.bob = np.asarray(bob_est, dtype=float)
-        self.eps2 = float(eps2)
-        self.hess_pattern = [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def _parts(self, V):
-        d = V[:, 0:2] - self.bob
+    def _cone(self, Q):
+        d = Q - self.bob
         s2 = 2.0 * self.eps2**2 + 2.0 * self.eps2 * np.sum(d * d, axis=1)
         return d, s2, np.sqrt(s2)
 
-    def values(self, V):
-        _, _, rt = self._parts(V)
-        return rt - V[:, 2]
+    def _q_value(self, Q):
+        d, _, rt = self._cone(Q)
+        return np.sum(d * d, axis=1) + self.s_b * rt
 
-    def grads(self, V):
-        d, _, rt = self._parts(V)
-        g = np.zeros_like(V)
-        g[:, 0:2] = (2.0 * self.eps2 / rt)[:, None] * d
-        g[:, 2] = -1.0
-        return g
+    def _q_grad(self, Q):
+        d, _, rt = self._cone(Q)
+        return (2.0 + 2.0 * self.s_b * self.eps2 / rt)[:, None] * d
 
-    def hess(self, V):
-        d, s2, rt = self._parts(V)
-        h = np.zeros((self.m, self.k, self.k))
-        c = 2.0 * self.eps2 / rt
-        outer = np.einsum("mi,mj->mij", d, d)
-        block = c[:, None, None] * (
-            np.eye(2) - (2.0 * self.eps2 / s2)[:, None, None] * outer
-        )
-        h[:, 0:2, 0:2] = block
-        return h
+    def _q_hess(self, Q):
+        d, s2, rt = self._cone(Q)
+        c = 2.0 * self.s_b * self.eps2 / rt
+        return ((2.0 + c)[:, None, None] * np.eye(2)
+                - (2.0 * self.eps2 * c / s2)[:, None, None] * np.einsum("mi,mj->mij", d, d))
+
+    def _rest_value(self, R):
+        p, r = R[:, 0], R[:, 1]
+        out = (self.c1 * (self.p_t - p) / (p * self.p_t)
+               + self.c2rt * np.expm1(math.log(2.0) * (r - self.r_t)))
+        # 1/p is only the convex branch for positive power
+        return np.where(p > 0.0, out, np.inf)
+
+    def _rest_grad(self, R):
+        p, r = R[:, 0], R[:, 1]
+        return np.stack([-self.c1 / (p * p),
+                         self.c2rt * math.log(2.0) * np.exp2(r - self.r_t)], axis=1)
+
+    def _rest_hess(self, R):
+        p, r = R[:, 0], R[:, 1]
+        return 2.0 * self.c1 / p**3, self.c2rt * math.log(2.0) ** 2 * np.exp2(r - self.r_t)
 
 
-class CovertDFamily(ResidualFamily):
-    """sqrt(pi/2) g2 - sqrt(u1) + g3 - k_w sqrt(u2) <= 0.
+class CovertFamily(SlotFamily):
+    """Covertness row with the tangent-bound slack at its optimum g5(q) + 1.
 
-    Columns [qx, qy, P, u1, u2] when q is free, else [P, u1, u2]; the fixed-q
-    squared-distance contribution is folded into the constant.
+    Row value: const + lin_p P + lin_u1 u1 - sqrt(u1)
+               + quad |q - willie|^2 / var + tail(g5(q) + 1).
+    g5(q) + 1 = lam_t + 1 + g5_grad . (q - q_t) is affine in q and tail is
+    convex and decreasing, so the row is convex. Columns [qx, qy, P, u1] when
+    q is free, else [P, u1]. Subclasses give tail and its derivatives.
     """
 
-    def __init__(self, idx, has_q, willie_est, var_w, const, a1, a2, b1, k_w,
+    _curved = (1,)
+
+    def __init__(self, idx, has_q, q_t, const, willie_est, var_w, quad, lin_p, lin_u1,
                  name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
-        self.has_q = has_q
         self.willie = np.asarray(willie_est, dtype=float)
         self.var_w = float(var_w)
-        self.const = np.asarray(const, dtype=float)
-        self.a1 = np.asarray(a1, dtype=float)  # sqrt(pi/2) * dg2/du1
-        self.a2 = np.asarray(a2, dtype=float)  # sqrt(pi/2) * dg2/dlam
-        self.b1 = np.asarray(b1, dtype=float)  # dg3/dP
+        self.quad = np.asarray(quad, dtype=float)
+        self.lin_p = np.asarray(lin_p, dtype=float)
+        self.lin_u1 = lin_u1
+        dw = np.asarray(q_t, dtype=float) - self.willie
+        self.g5_grad = (2.0 / self.var_w) * dw
+        self.lam1_t = np.sum(dw * dw, axis=1) / self.var_w + 1.0
+        super().__init__(idx, has_q, q_t, const, name, row_labels)
+
+    def _slack(self, Q):
+        return self.lam1_t + np.einsum("mi,mi->m", self.g5_grad, Q - self.q_t)
+
+    def _q_value(self, Q):
+        d = Q - self.willie
+        return self.quad * np.sum(d * d, axis=1) / self.var_w + self._tail(self._slack(Q))
+
+    def _q_grad(self, Q):
+        return ((2.0 * self.quad / self.var_w)[:, None] * (Q - self.willie)
+                + self._tail_d1(self._slack(Q))[:, None] * self.g5_grad)
+
+    def _q_hess(self, Q):
+        return ((2.0 * self.quad / self.var_w)[:, None, None] * np.eye(2)
+                + self._tail_d2(self._slack(Q))[:, None, None]
+                * np.einsum("mi,mj->mij", self.g5_grad, self.g5_grad))
+
+    def _rest_value(self, R):
+        p, u1 = R[:, 0], R[:, 1]
+        return self.lin_p * p + self.lin_u1 * u1 - np.sqrt(u1)
+
+    def _rest_grad(self, R):
+        return np.stack([self.lin_p, self.lin_u1 - 0.5 / np.sqrt(R[:, 1])], axis=1)
+
+    def _rest_hess(self, R):
+        return (0.25 * R[:, 1] ** -1.5,)
+
+
+class CovertDFamily(CovertFamily):
+    """sqrt(pi/2) g2 - sqrt(u1) + g3 - k_w sqrt(g5(q) + 1) <= 0."""
+
+    def __init__(self, *args, k_w, **kwargs):
         self.k_w = float(k_w)
-        self._o = 2 if has_q else 0
-        self.hess_pattern = _diagonal_pattern(has_q, self._o + 1, self._o + 2)
+        super().__init__(*args, **kwargs)
 
-    def values(self, V):
-        o = self._o
-        p, u1, u2 = V[:, o], V[:, o + 1], V[:, o + 2]
-        with np.errstate(invalid="ignore"):
-            out = (
-                self.const
-                + self.b1 * p
-                + self.a1 * u1
-                - np.sqrt(u1)
-                - self.k_w * np.sqrt(u2)
-            )
-        if self.has_q:
-            d = V[:, 0:2] - self.willie
-            out = out + self.a2 * np.sum(d * d, axis=1) / self.var_w
-        return out
+    def _tail(self, s):
+        return -self.k_w * np.sqrt(s)
 
-    def grads(self, V):
-        o = self._o
-        u1, u2 = V[:, o + 1], V[:, o + 2]
-        g = np.zeros_like(V)
-        g[:, o] = self.b1
-        g[:, o + 1] = self.a1 - 0.5 / np.sqrt(u1)
-        g[:, o + 2] = -0.5 * self.k_w / np.sqrt(u2)
-        if self.has_q:
-            g[:, 0:2] = (2.0 * self.a2 / self.var_w)[:, None] * (V[:, 0:2] - self.willie)
-        return g
+    def _tail_d1(self, s):
+        return -0.5 * self.k_w / np.sqrt(s)
 
-    def hess(self, V):
-        o = self._o
-        u1, u2 = V[:, o + 1], V[:, o + 2]
-        h = np.zeros((self.m, self.k, self.k))
-        h[:, o + 1, o + 1] = 0.25 * u1 ** (-1.5)
-        h[:, o + 2, o + 2] = 0.25 * self.k_w * u2 ** (-1.5)
-        if self.has_q:
-            c = 2.0 * self.a2 / self.var_w
-            h[:, 0, 0] = c
-            h[:, 1, 1] = c
-        return h
+    def _tail_d2(self, s):
+        return 0.25 * self.k_w * s**-1.5
 
 
-class CovertEFamily(ResidualFamily):
-    """g4 - ln(u2 + 1 + H^2/var) - sqrt(u1) <= 0.
+class CovertEFamily(CovertFamily):
+    """g4 - ln(g5(q) + 1 + 1 + H^2/var) - sqrt(u1) <= 0."""
 
-    Columns [qx, qy, P, u1, u2] when q is free, else [P, u1, u2].
-    """
+    def __init__(self, *args, e_c, **kwargs):
+        self.e_c = float(e_c)  # 1 + H^2/var
+        super().__init__(*args, **kwargs)
 
-    def __init__(self, idx, has_q, willie_est, var_w, const, inv_denom, gp, e_c,
-                 name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
-        self.has_q = has_q
-        self.willie = np.asarray(willie_est, dtype=float)
-        self.var_w = float(var_w)
-        self.const = np.asarray(const, dtype=float)
-        self.inv_denom = np.asarray(inv_denom, dtype=float)  # 1 / g4 denominator
-        self.gp = np.asarray(gp, dtype=float)                # beta1 / denominator
-        self.e_c = float(e_c)                                # 1 + H^2/var
-        self._o = 2 if has_q else 0
-        self.hess_pattern = _diagonal_pattern(has_q, self._o + 1, self._o + 2)
+    def _tail(self, s):
+        return -np.log(s + self.e_c)
 
-    def values(self, V):
-        o = self._o
-        p, u1, u2 = V[:, o], V[:, o + 1], V[:, o + 2]
-        with np.errstate(invalid="ignore"):
-            out = (
-                self.const
-                + self.gp * p
-                - np.log(u2 + self.e_c)
-                - np.sqrt(u1)
-            )
-        if self.has_q:
-            d = V[:, 0:2] - self.willie
-            out = out + self.inv_denom * np.sum(d * d, axis=1) / self.var_w
-        return out
+    def _tail_d1(self, s):
+        return -1.0 / (s + self.e_c)
 
-    def grads(self, V):
-        o = self._o
-        u1, u2 = V[:, o + 1], V[:, o + 2]
-        g = np.zeros_like(V)
-        g[:, o] = self.gp
-        g[:, o + 1] = -0.5 / np.sqrt(u1)
-        g[:, o + 2] = -1.0 / (u2 + self.e_c)
-        if self.has_q:
-            g[:, 0:2] = (2.0 * self.inv_denom / self.var_w)[:, None] * (
-                V[:, 0:2] - self.willie
-            )
-        return g
-
-    def hess(self, V):
-        o = self._o
-        u1, u2 = V[:, o + 1], V[:, o + 2]
-        h = np.zeros((self.m, self.k, self.k))
-        h[:, o + 1, o + 1] = 0.25 * u1 ** (-1.5)
-        h[:, o + 2, o + 2] = (u2 + self.e_c) ** (-2.0)
-        if self.has_q:
-            c = 2.0 * self.inv_denom / self.var_w
-            h[:, 0, 0] = c
-            h[:, 1, 1] = c
-        return h
+    def _tail_d2(self, s):
+        return (s + self.e_c) ** -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -733,41 +654,15 @@ class ConvexSubproblem:
         return float(self.obj_coef @ v)
 
     def unpack(self, v: np.ndarray):
+        """(trajectory, powers, rates, u1) of a subproblem point."""
         lay = self.layout
-        n = lay.n_slots
+        free = lay.qx >= 0
         w = self.fixed_waypoints.copy()
-        for i in range(n):
-            if lay.qx[i] >= 0:
-                w[i, 0] = v[lay.qx[i]]
-                w[i, 1] = v[lay.qy[i]]
-        traj = Trajectory(w)
+        w[free, 0] = v[lay.qx[free]]
+        w[free, 1] = v[lay.qy[free]]
         powers = PowerSchedule(np.maximum(v[lay.p], 0.0))
         rates = RateSchedule(np.maximum(v[lay.r], RATE_FLOOR))
-        slacks = SlackVars(y1=v[lay.y1].copy(), z1=v[lay.z1].copy(),
-                           u1=v[lay.u1].copy(), u2=v[lay.u2].copy())
-        return traj, powers, rates, slacks
-
-    def dump(self, path) -> None:
-        """Write a solver-independent description for offline inspection."""
-        lines = [
-            f"n_var {self.n_var}",
-            f"n_constraints {self.n_constraints}",
-            "variables " + " ".join(self.layout.var_names()),
-        ]
-        for f in self.families:
-            lines.append(f"family {f.name} rows {f.m} arity {f.k}")
-            for lbl in f.row_labels:
-                lines.append(f"  {lbl}")
-        lines.append("expansion_trajectory " + " ".join(
-            f"{x:.12g}" for x in self.expansion.traj_tilde.waypoints.ravel()))
-        lines.append("expansion_power " + " ".join(
-            f"{x:.12g}" for x in self.expansion.p_tilde.powers))
-        lines.append("expansion_rate " + " ".join(
-            f"{x:.12g}" for x in self.expansion.r_tilde.rates))
-        lines.append("expansion_u1 " + " ".join(
-            f"{x:.12g}" for x in self.expansion.u1_tilde))
-        lines.append("start " + " ".join(f"{x:.12g}" for x in self.start))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return Trajectory(w), powers, rates, v[lay.u1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -779,27 +674,23 @@ def exact_feasibility(traj: Trajectory, powers: PowerSchedule, rates: RateSchedu
     """Margins of the true (pre-surrogate) constraints at a candidate plan.
 
     Outage margins use the conservative reformulation with its slack variables
-    at their per-slot optima (the slacks enter with definite signs, so the
-    bound slack y1 = var_bob and the cone slack z1 at its norm are optimal).
+    at their per-slot optima (the slacks enter with positive weights, so the
+    bound slack at var_bob and the cone slack at its norm are optimal).
     Covertness margins are the closed-form error-rate bound minus (1 - rho_w).
     All entries are feasible when >= -FEAS_RTOL * scale.
     """
-    from .detection import lambda_of, xi_lower_bound as xi_lb
-
     if model is None:
         model = DetectionModel.from_config(cfg)
     w = traj.waypoints
     dist2_b = np.sum((w - cfg.bob_est) ** 2, axis=1)
-    y1 = np.full(len(traj), cfg.var_bob)
-    z1 = np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2_b)
-    res_a, _, _ = bti_outage_residuals(w, powers.powers, rates.rates, y1, z1, cfg)
+    res_a, _, _ = bti_outage_residuals(
+        w, powers.powers, rates.rates, np.full(len(traj), cfg.var_bob),
+        np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2_b), cfg)
     lam = lambda_of(w, cfg.willie_est, cfg.var_willie)
-    xi = xi_lb(lam, powers.powers, model)
-    from .scenario import check_mobility as _cm, check_power as _cp
-
-    power_margins = _cp(powers, cfg)
+    xi = xi_lower_bound(lam, powers.powers, model)
+    power_margins = check_power(powers, cfg)
     return {
-        "mobility": _cm(traj, cfg),
+        "mobility": check_mobility(traj, cfg),
         "power_avg": power_margins.avg_margin,
         "power_peak": power_margins.peak_margins,
         "outage": -res_a,
@@ -809,16 +700,25 @@ def exact_feasibility(traj: Trajectory, powers: PowerSchedule, rates: RateSchedu
     }
 
 
-def exact_feasible(margins: dict, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> bool:
-    tol_len = rtol * cfg.max_step_L
+def first_violation(margins: dict, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> str | None:
+    """The first constraint family whose margins break tolerance, or None.
+
+    Families are tested in the order mobility, power, outage, covertness; a
+    margin below -rtol times its family's scale (or NaN) is a violation.
+    """
     tol_pow = rtol * max(cfg.p_peak_max, 1e-30)
-    return bool(
-        np.all(margins["mobility"] >= -tol_len)
-        and margins["power_avg"] >= -tol_pow
-        and np.all(margins["power_peak"] >= -tol_pow)
-        and np.all(margins["outage"] >= -rtol * max(cfg.altitude_H**2, 1.0))
-        and np.all(margins["covertness"] >= -rtol)
-    )
+    for family, margin, tol in (
+            ("mobility", margins["mobility"], rtol * cfg.max_step_L),
+            ("power", np.append(margins["power_peak"], margins["power_avg"]), tol_pow),
+            ("outage", margins["outage"], rtol * max(cfg.altitude_H**2, 1.0)),
+            ("covertness", margins["covertness"], rtol)):
+        if not np.all(margin >= -tol):
+            return family
+    return None
+
+
+def exact_feasible(margins: dict, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> bool:
+    return first_violation(margins, cfg, rtol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -830,19 +730,13 @@ def _check_expansion(exp: ExpansionPoint, cfg: ScenarioConfig, model: DetectionM
     if n != cfg.num_slots_N:
         raise InfeasibleExpansionError("layout", f"{n} slots vs scenario {cfg.num_slots_N}")
     margins = exact_feasibility(exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model)
-    tol_len = FEAS_RTOL * cfg.max_step_L
-    if not np.all(margins["mobility"] >= -tol_len):
+    family = first_violation(margins, cfg)
+    if family == "power":
+        raise InfeasibleExpansionError(family, "power caps violated")
+    if family is not None:
+        what, unit = ("step margin", " m") if family == "mobility" else ("margin", "")
         raise InfeasibleExpansionError(
-            "mobility", f"worst step margin {margins['mobility'].min():.3e} m")
-    tol_pow = FEAS_RTOL * max(cfg.p_peak_max, 1e-30)
-    if margins["power_avg"] < -tol_pow or np.any(margins["power_peak"] < -tol_pow):
-        raise InfeasibleExpansionError("power", "power caps violated")
-    if not np.all(margins["outage"] >= -FEAS_RTOL * max(cfg.altitude_H**2, 1.0)):
-        raise InfeasibleExpansionError(
-            "outage", f"worst margin {margins['outage'].min():.3e}")
-    if not np.all(margins["covertness"] >= -FEAS_RTOL):
-        raise InfeasibleExpansionError(
-            "covertness", f"worst margin {margins['covertness'].min():.3e}")
+            family, f"worst {what} {margins[family].min():.3e}{unit}")
     return margins
 
 
@@ -851,7 +745,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     """Build the convex restricted subproblem at a feasible expansion point.
 
     With fixed_trajectory the waypoints are frozen at the expansion trajectory
-    and only power, rate and slack variables remain (the power-only scheme).
+    and only power, rate and u1 variables remain (the power-only scheme).
     """
     model = DetectionModel.from_config(cfg)
     _check_expansion(exp, cfg, model)
@@ -884,8 +778,6 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
 
     dw_t = q_t - cfg.willie_est
     lam_t = np.sum(dw_t * dw_t, axis=1) / var_w
-    db_t = q_t - cfg.bob_est
-    dist2b_t = np.sum(db_t * db_t, axis=1)
 
     # g1 coefficients
     e_rt = np.exp2(r_t) - 1.0
@@ -905,13 +797,6 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     g4_const = np.log(denom) - (lam_t + model.beta1 * p_t) / denom
     inv_denom = 1.0 / denom
     gp = model.beta1 / denom
-    # g5 gradient and constant
-    g5_grad = (2.0 / var_w) * dw_t                       # (N, 2)
-    g5_const = lam_t - np.einsum("ni,ni->n", g5_grad, q_t)
-
-    free = lay.qx >= 0
-    free_slots = np.nonzero(free)[0]
-    fixed_slots = np.nonzero(~free)[0]
 
     families: list[ResidualFamily] = []
 
@@ -953,92 +838,42 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         row_labels=["power_avg"],
     ))
 
-    # --- simple bounds ----------------------------------------------------
-    bidx, bcoef, bconst, blbl = [], [], [], []
+    # --- simple bounds, four rows per slot ------------------------------------
+    kinds = ("power_peak", "power_floor", "rate_floor", "u1_floor")
+    families.append(LinearFamily(
+        idx=np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1).reshape(-1, 1),
+        coef=np.tile([1.0, -1.0, -1.0, -1.0], n)[:, None],
+        const=np.tile([-cfg.p_peak_max, P_FLOOR, RATE_FLOOR, U_FLOOR], n),
+        name="bounds",
+        row_labels=[f"{kind}[{i}]" for i in range(n) for kind in kinds],
+    ))
 
-    def bound(ix, coef, const, label):
-        bidx.append([ix]); bcoef.append([coef]); bconst.append(const); blbl.append(label)
-
-    for i in range(n):
-        bound(lay.p[i], 1.0, -cfg.p_peak_max, f"power_peak[{i}]")
-        bound(lay.p[i], -1.0, P_FLOOR, f"power_floor[{i}]")
-        bound(lay.r[i], -1.0, RATE_FLOOR, f"rate_floor[{i}]")
-        bound(lay.y1[i], -1.0, eps2, f"y1_floor[{i}]")
-        bound(lay.z1[i], -1.0, 0.0, f"z1_floor[{i}]")
-        bound(lay.u1[i], -1.0, U_FLOOR, f"u1_floor[{i}]")
-        bound(lay.u2[i], -1.0, U_FLOOR, f"u2_floor[{i}]")
-    families.append(LinearFamily(np.array(bidx), np.array(bcoef), np.array(bconst),
-                                 "bounds", blbl))
-
-    # --- outage -----------------------------------------------------------
-    # residual A splits into this constant plus expansion-relative terms
-    # handled inside the family (see OutageAFamily)
-    base_a = 2.0 * eps2 + h2 - c0
-    if free_slots.size:
-        sl = free_slots
-        families.append(OutageAFamily(
-            idx=np.stack([lay.qx[sl], lay.qy[sl], lay.p[sl], lay.r[sl],
-                          lay.y1[sl], lay.z1[sl]], axis=1),
-            has_q=True, bob_est=cfg.bob_est, const=base_a[sl],
-            c1=c1[sl], c2=c2[sl], p_t=p_t[sl], r_t=r_t[sl], s_b=s_b, a_b=a_b,
-            name="outage_A", row_labels=[f"outage_A[{i}]" for i in sl]))
-        families.append(OutageBFamily(
-            idx=np.stack([lay.qx[sl], lay.qy[sl], lay.z1[sl]], axis=1),
-            bob_est=cfg.bob_est, eps2=eps2,
-            name="outage_B", row_labels=[f"outage_B[{i}]" for i in sl]))
-    if fixed_slots.size:
-        sl = fixed_slots
-        families.append(OutageAFamily(
-            idx=np.stack([lay.p[sl], lay.r[sl], lay.y1[sl], lay.z1[sl]], axis=1),
-            has_q=False, bob_est=cfg.bob_est,
-            const=base_a[sl] + dist2b_t[sl],
-            c1=c1[sl], c2=c2[sl], p_t=p_t[sl], r_t=r_t[sl], s_b=s_b, a_b=a_b,
-            name="outage_A_fixed", row_labels=[f"outage_A[{i}]" for i in sl]))
-        rt_fixed = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2b_t[sl])
-        families.append(LinearFamily(
-            idx=lay.z1[sl][:, None], coef=-np.ones((sl.size, 1)), const=rt_fixed,
-            name="outage_B_fixed", row_labels=[f"outage_B[{i}]" for i in sl]))
-
-    # --- covertness -------------------------------------------------------
+    # --- outage and covertness ------------------------------------------------
+    # one family per row type over the free-waypoint slots, and a "_fixed"
+    # one over the rest; outage A splits into this constant plus
+    # expansion-relative terms handled inside the family (see OutageAFamily)
+    base_a = 2.0 * eps2 + a_b * eps2 + h2 - c0
     d_const = c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t
-    e_c = 1.0 + h2v
-    if free_slots.size:
-        sl = free_slots
+    free = lay.qx >= 0
+    for sl, has_q, suffix in ((np.nonzero(free)[0], True, ""),
+                              (np.nonzero(~free)[0], False, "_fixed")):
+        if not sl.size:
+            continue
+        q_cols = [lay.qx[sl], lay.qy[sl]] if has_q else []
+        families.append(OutageAFamily(
+            np.stack(q_cols + [lay.p[sl], lay.r[sl]], axis=1), has_q, q_t[sl],
+            base_a[sl], bob_est=cfg.bob_est, eps2=eps2, s_b=s_b,
+            c1=c1[sl], c2=c2[sl], p_t=p_t[sl], r_t=r_t[sl],
+            name="outage_A" + suffix, row_labels=[f"outage_A[{i}]" for i in sl]))
+        idx = np.stack(q_cols + [lay.p[sl], lay.u1[sl]], axis=1)
         families.append(CovertDFamily(
-            idx=np.stack([lay.qx[sl], lay.qy[sl], lay.p[sl], lay.u1[sl], lay.u2[sl]], axis=1),
-            has_q=True, willie_est=cfg.willie_est, var_w=var_w,
-            const=d_const[sl], a1=a1[sl], a2=a2[sl], b1=b1[sl], k_w=k_w,
-            name="covert_D", row_labels=[f"covert_D[{i}]" for i in sl]))
+            idx, has_q, q_t[sl], d_const[sl], cfg.willie_est, var_w,
+            quad=a2[sl], lin_p=b1[sl], lin_u1=a1[sl], k_w=k_w,
+            name="covert_D" + suffix, row_labels=[f"covert_D[{i}]" for i in sl]))
         families.append(CovertEFamily(
-            idx=np.stack([lay.qx[sl], lay.qy[sl], lay.p[sl], lay.u1[sl], lay.u2[sl]], axis=1),
-            has_q=True, willie_est=cfg.willie_est, var_w=var_w,
-            const=g4_const[sl], inv_denom=inv_denom[sl], gp=gp[sl], e_c=e_c,
-            name="covert_E", row_labels=[f"covert_E[{i}]" for i in sl]))
-        # F: u2 - g5(q) - 1 <= 0, affine
-        families.append(LinearFamily(
-            idx=np.stack([lay.qx[sl], lay.qy[sl], lay.u2[sl]], axis=1),
-            coef=np.stack([-g5_grad[sl, 0], -g5_grad[sl, 1], np.ones(sl.size)], axis=1),
-            const=-g5_const[sl] - 1.0,
-            name="covert_F", row_labels=[f"covert_F[{i}]" for i in sl]))
-    if fixed_slots.size:
-        sl = fixed_slots
-        families.append(CovertDFamily(
-            idx=np.stack([lay.p[sl], lay.u1[sl], lay.u2[sl]], axis=1),
-            has_q=False, willie_est=cfg.willie_est, var_w=var_w,
-            const=d_const[sl] + a2[sl] * lam_t[sl],
-            a1=a1[sl], a2=a2[sl], b1=b1[sl], k_w=k_w,
-            name="covert_D_fixed", row_labels=[f"covert_D[{i}]" for i in sl]))
-        families.append(CovertEFamily(
-            idx=np.stack([lay.p[sl], lay.u1[sl], lay.u2[sl]], axis=1),
-            has_q=False, willie_est=cfg.willie_est, var_w=var_w,
-            const=g4_const[sl] + inv_denom[sl] * lam_t[sl],
-            inv_denom=inv_denom[sl], gp=gp[sl], e_c=e_c,
-            name="covert_E_fixed", row_labels=[f"covert_E[{i}]" for i in sl]))
-        # with q fixed at the expansion value, g5 equals lam_t exactly
-        families.append(LinearFamily(
-            idx=lay.u2[sl][:, None], coef=np.ones((sl.size, 1)),
-            const=-lam_t[sl] - 1.0,
-            name="covert_F_fixed", row_labels=[f"covert_F[{i}]" for i in sl]))
+            idx, has_q, q_t[sl], g4_const[sl], cfg.willie_est, var_w,
+            quad=inv_denom[sl], lin_p=gp[sl], lin_u1=0.0, e_c=1.0 + h2v,
+            name="covert_E" + suffix, row_labels=[f"covert_E[{i}]" for i in sl]))
 
     # --- objective, start, scales ------------------------------------------
     obj = np.zeros(lay.n_var)
@@ -1048,23 +883,17 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     scale[lay.qx[free]] = scale[lay.qy[free]] = 100.0
     scale[lay.p] = max(cfg.p_avg_max, 1e-9)
     scale[lay.r] = 1.0
-    scale[lay.y1] = max(eps2, 1.0)
-    scale[lay.z1] = max(math.sqrt(2.0) * eps2, 1.0)
     scale[lay.u1] = max(float(np.median(u1_t)), 1e-6)
-    scale[lay.u2] = max(float(np.median(lam_t)) + 1.0, 1.0)
 
-    # the start is the expansion point with its warm-start slacks, which the
-    # previous solve (or the initializer) leaves strictly feasible; a start
-    # that is not is rejected below, never repaired
+    # the start is the expansion point, which the previous solve (or the
+    # initializer) leaves strictly feasible; a start that is not is rejected
+    # below, never repaired
     start = np.zeros(lay.n_var)
     start[lay.qx[free]] = q_t[free, 0]
     start[lay.qy[free]] = q_t[free, 1]
     start[lay.p] = np.clip(p_t, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
     start[lay.r] = r_t
-    start[lay.y1] = exp.y1_start
-    start[lay.z1] = exp.z1_start
     start[lay.u1] = np.maximum(exp.u1_tilde, 2.0 * U_FLOOR)
-    start[lay.u2] = exp.u2_start
 
     sub = ConvexSubproblem(
         layout=lay, obj_coef=obj, families=families, start=start,

@@ -134,26 +134,26 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
     q0, qf, qb = cfg.q_init, cfg.q_final, cfg.bob_est
     d1 = float(np.linalg.norm(qb - q0))
     d2 = float(np.linalg.norm(qf - qb))
-    u1 = (qb - q0) / d1 if d1 > 0 else np.zeros(2)
+    dir1 = (qb - q0) / d1 if d1 > 0 else np.zeros(2)
     # ceil with a relative guard so an exact multiple of L is not rounded up
     n1 = int(math.ceil(d1 / L - 1e-12))
     n2 = int(math.ceil(d2 / L - 1e-12))
 
     w = np.empty((n_slots, 2))
     if n1 + n2 <= n_slots:
-        u2 = (qf - qb) / d2 if d2 > 0 else np.zeros(2)
+        dir2 = (qf - qb) / d2 if d2 > 0 else np.zeros(2)
         for n in range(1, n_slots + 1):
             if n <= n1:
-                w[n - 1] = q0 + min(n * L, d1) * u1
+                w[n - 1] = q0 + min(n * L, d1) * dir1
             elif n <= n_slots - n2:
                 w[n - 1] = qb
             else:
                 j = n - (n_slots - n2)
-                w[n - 1] = qb + min(j * L, d2) * u2
+                w[n - 1] = qb + min(j * L, d2) * dir2
     else:
         # turn at the last approach slot that keeps the landing reachable
         def reachable(k: int) -> bool:
-            p = q0 + min(k * L, d1) * u1
+            p = q0 + min(k * L, d1) * dir1
             return float(np.linalg.norm(qf - p)) <= (n_slots - k) * L * (1.0 + 1e-12)
 
         k_star = 0
@@ -162,14 +162,14 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
                 k_star = k
             else:
                 break
-        p_turn = q0 + min(k_star * L, d1) * u1
+        p_turn = q0 + min(k_star * L, d1) * dir1
         dr = float(np.linalg.norm(qf - p_turn))
         ur = (qf - p_turn) / dr if dr > 0 else np.zeros(2)
         nr = int(math.ceil(dr / L - 1e-12))
         spare = (n_slots - k_star) - nr  # hover slots at the turn point
         for n in range(1, n_slots + 1):
             if n <= k_star:
-                w[n - 1] = q0 + min(n * L, d1) * u1
+                w[n - 1] = q0 + min(n * L, d1) * dir1
             elif n <= k_star + spare:
                 w[n - 1] = p_turn
             else:
@@ -183,42 +183,29 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 # initial feasible point
 # ---------------------------------------------------------------------------
 
-def _u2_start(lam: np.ndarray) -> np.ndarray:
-    """Tangent-bound slack of the start: just below lam + 1, so the affine
-    covertness row F is strict."""
-    return np.maximum((lam + 1.0) * (1.0 - 1e-8), 2.0 * U_FLOOR)
-
-
 def _covert_start_ok(p: float, lam: np.ndarray, model: DetectionModel,
                      rho_w: float) -> bool:
-    """Does uniform power p leave the covertness rows strictly satisfiable?
+    """Does uniform power p leave the covertness rows strictly satisfied?
 
-    Checks, at the construction slacks (auxiliary variable at
-    ln(1 + beta1 p / (lam + 2 + H^2/var)), tangent-bound slack at lam + 1):
-    the assembled residual D with a 1e-6 margin, residual E with a 1e-7
-    margin (it degenerates when the log reaches 1, which lax covertness
-    levels allow), and the exact error-rate bound itself. The start slacks
-    differ from these (the auxiliary variable is floored, the tangent-bound
-    slack sits 1e-8 below lam + 1), which moves D by about
-    5e-9 k_w sqrt(lam + 1): at the baseline's k_w, more than the 1e-6 margin
-    once lam passes about 5e6. So D is also checked at the start slacks
-    themselves, with a margin of 1e-9 of its largest term for rounding. Each
-    piece is monotone in p across the admissible power range, so bisection
-    applies.
+    Checks the assembled rows at the start the initializer hands the
+    subproblem: the auxiliary variable at ln(1 + beta1 p / (lam + 2 +
+    H^2/var)), raised to its floor 2 U_FLOOR where it is smaller, and the
+    tangent-bound slack at its optimum lam + 1. Residual D must hold with a
+    1e-6 margin. Residual E must hold with a 1e-7 margin at the unfloored
+    auxiliary variable, where it is largest (E degenerates when the log
+    reaches 1, which lax covertness levels allow). The exact
+    error-rate bound must hold as well. Each piece is monotone in p across
+    the admissible power range, so bisection applies.
     """
     ln_a = np.log1p(model.beta1 * p / (lam + 2.0 + model.h2_over_var))
     ln_b = np.log1p(model.beta1 * model.var_willie * p / model.altitude_H**2)
     c = math.sqrt(math.pi / 2.0) * np.sqrt(lam + 1.0)
     k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w
-    rhs = k_w * np.sqrt(lam + 1.0)
-    res_d = float(np.max((c - 1.0) * np.sqrt(ln_a) + ln_b - rhs))
     u1 = np.maximum(ln_a, 2.0 * U_FLOOR)
-    res_d_start = float(np.max(
-        (c - 1.0) * np.sqrt(u1) + ln_b - k_w * np.sqrt(_u2_start(lam))))
+    res_d = float(np.max((c - 1.0) * np.sqrt(u1) + ln_b - k_w * np.sqrt(lam + 1.0)))
     res_e = float(np.max(ln_a - np.sqrt(ln_a)))
     exact = float(np.max((1.0 - rho_w) - xi_lower_bound(lam, p, model)))
-    return (res_d <= -1e-6 and res_d_start <= -1e-9 * max(1.0, float(np.max(rhs)))
-            and res_e <= -1e-7 and exact <= -1e-9)
+    return res_d <= -1e-6 and res_e <= -1e-7 and exact <= -1e-9
 
 
 def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
@@ -227,8 +214,8 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
     The power is bisected against the subproblem's own covertness residuals
     (slightly stricter than the closed-form error-rate bound, which is implied
     by them), so the assembled restriction is strictly feasible at the start.
-    Rates then come from the outage inequality in closed form with the slack
-    variables at their inflated floors.
+    Rates then come from the outage inequality in closed form, with its two
+    slacks a millionth of their scale above their optima.
     """
     for name in ("p_avg_max", "p_peak_max"):
         if getattr(cfg, name) == 0.0:
@@ -278,14 +265,12 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
 
     eps2 = cfg.var_bob
     dist2_b = np.sum((traj.waypoints - cfg.bob_est) ** 2, axis=1)
-    y1 = np.full(n, eps2 + 1e-6 * max(eps2, 1.0))
-    z1 = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2_b)
-    z1 = z1 + 1e-6 * np.maximum(z1, 1.0)
-    u2 = _u2_start(lam)
-
+    cone = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2_b)
     s_b = math.sqrt(-2.0 * math.log(cfg.rho_b))
     a_b = -math.log(cfg.rho_b)
-    k_den = 2.0 * eps2 + s_b * z1 + a_b * y1 + dist2_b + cfg.altitude_H**2
+    k_den = (2.0 * eps2 + s_b * (cone + 1e-6 * np.maximum(cone, 1.0))
+             + a_b * (eps2 + 1e-6 * max(eps2, 1.0))
+             + dist2_b + cfg.altitude_H**2)
     rates = np.log2(1.0 + cfg.gamma0 * powers / k_den) * (1.0 - 1e-9)
     rates = np.maximum(rates, RATE_FLOOR * (1.0 + 1e-6))
 
@@ -294,9 +279,6 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
         p_tilde=PowerSchedule(powers),
         r_tilde=RateSchedule(rates),
         u1_tilde=u1,
-        y1_start=y1,
-        z1_start=z1,
-        u2_start=u2,
     )
     margins = exact_feasibility(traj, exp.p_tilde, exp.r_tilde, cfg, model)
     if not exact_feasible(margins, cfg):
@@ -353,15 +335,14 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
             break
         res = cvxsolver.solve(sub, settings=settings.solver)
         solves += 1
-        traj, powers, rates, slacks = sub.unpack(res.variables)
+        traj, powers, rates, u1 = sub.unpack(res.variables)
         margins = exact_feasibility(traj, powers, rates, cfg, model)
         if not exact_feasible(margins, cfg):
             reason = "feasibility_regression"
             break
         exp = ExpansionPoint(
             traj_tilde=traj, p_tilde=powers, r_tilde=rates,
-            u1_tilde=np.maximum(slacks.u1, 2.0 * U_FLOOR),
-            y1_start=slacks.y1, z1_start=slacks.z1, u2_start=slacks.u2,
+            u1_tilde=np.maximum(u1, 2.0 * U_FLOOR),
         )
         objectives.append(rates.mean)
         points.append(exp)

@@ -255,10 +255,6 @@ def check_mobility(traj: Trajectory, cfg: ScenarioConfig) -> np.ndarray:
     return np.concatenate([step_margins, [terminal]])
 
 
-def mobility_feasible(traj: Trajectory, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> bool:
-    return bool(np.all(check_mobility(traj, cfg) >= -rtol * cfg.max_step_L))
-
-
 @dataclass(frozen=True)
 class PowerMargins:
     avg_margin: float            # p_avg_max - mean power

@@ -281,37 +281,42 @@ def sub(cfg):
 class TestAssembledSubproblem:
     def test_layout_counts(self, cfg, sub):
         n = cfg.num_slots_N
-        # final waypoint eliminated: 8 scalars for n-1 slots, 6 for the last
-        assert sub.n_var == 8 * n - 2
+        # final waypoint eliminated: 5 scalars (qx, qy, p, r, u1) for n-1
+        # slots, 3 for the last
+        assert sub.n_var == 5 * n - 2
         by_name = {f.name: f.m for f in sub.families}
         assert by_name["mobility"] == n - 2          # interior steps
         assert by_name["mobility_anchor"] == 2       # first and last steps
         assert by_name["power_avg"] == 1
-        assert by_name["bounds"] == 7 * n
+        assert by_name["bounds"] == 4 * n
         assert by_name["outage_A"] + by_name.get("outage_A_fixed", 0) == n
-        assert by_name["outage_B"] + by_name.get("outage_B_fixed", 0) == n
         assert by_name["covert_D"] + by_name.get("covert_D_fixed", 0) == n
         assert by_name["covert_E"] + by_name.get("covert_E_fixed", 0) == n
-        assert by_name["covert_F"] + by_name.get("covert_F_fixed", 0) == n
-        assert sub.n_constraints == (n - 2) + 2 + 1 + 7 * n + 5 * n
+        assert not any(name.startswith(("outage_B", "covert_F")) for name in by_name)
+        assert sub.n_constraints == (n - 2) + 2 + 1 + 4 * n + 3 * n
+
+    def test_bound_rows_in_slot_order(self, cfg, sub):
+        # four rows per slot, slot by slot: peak power, power floor, rate
+        # floor, u1 floor
+        bounds = next(f for f in sub.families if f.name == "bounds")
+        lay = sub.layout
+        kinds = ("power_peak", "power_floor", "rate_floor", "u1_floor")
+        assert bounds.row_labels[:8] == [f"{k}[{i}]" for i in (0, 1) for k in kinds]
+        assert np.array_equal(bounds.idx[:, 0].reshape(-1, 4),
+                              np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1))
 
     def test_start_strictly_feasible(self, sub):
         assert float(np.max(sub.eval_values(sub.start))) < 0.0
 
     def test_expansion_point_residuals_nonpositive(self, cfg, sub):
-        # evaluating at the expansion point itself (slacks at their
-        # tangency values) keeps every surrogate row at or below zero
+        # evaluating at the expansion point itself (u1 at its tangency value)
+        # keeps every surrogate row at or below zero
         exp = sub.expansion
         lay = sub.layout
         v = sub.start.copy()
-        lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
         v[lay.p] = exp.p_tilde.powers
         v[lay.r] = exp.r_tilde.rates
         v[lay.u1] = exp.u1_tilde
-        v[lay.u2] = lam + 1.0
-        dist2 = np.sum((exp.traj_tilde.waypoints - cfg.bob_est) ** 2, axis=1)
-        v[lay.y1] = cfg.var_bob
-        v[lay.z1] = np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2)
         vals = sub.eval_values(v)
         assert float(np.max(vals)) <= 1e-9
 
@@ -423,23 +428,22 @@ class TestAssembledSubproblem:
             assert views[i].value(v) == pytest.approx(all_vals[i], rel=1e-12, abs=1e-12)
 
     def test_unpack_round_trip(self, cfg, sub):
-        traj, powers, rates, slacks = sub.unpack(sub.start)
+        traj, powers, rates, u1 = sub.unpack(sub.start)
         assert len(traj) == cfg.num_slots_N
+        assert np.array_equal(traj.waypoints, sub.expansion.traj_tilde.waypoints)
         assert np.allclose(traj.waypoints[-1], cfg.q_final)
         assert np.allclose(powers.powers, sub.expansion.p_tilde.powers)
-        assert slacks.u1.shape == (cfg.num_slots_N,)
+        assert np.array_equal(rates.rates, sub.expansion.r_tilde.rates)
+        assert np.array_equal(u1, sub.expansion.u1_tilde)
 
     def test_infeasible_expansion_rejected(self, cfg):
         exp = initial_point(cfg)
         # within the power caps but far too loud to stay covert
-        slacks = dict(y1_start=exp.y1_start, z1_start=exp.z1_start,
-                      u2_start=exp.u2_start)
         bad = ExpansionPoint(
             traj_tilde=exp.traj_tilde,
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, 0.05)),
             r_tilde=exp.r_tilde,
             u1_tilde=exp.u1_tilde,
-            **slacks,
         )
         with pytest.raises(InfeasibleExpansionError, match="covertness"):
             assemble_subproblem(bad, cfg)
@@ -448,36 +452,26 @@ class TestAssembledSubproblem:
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, cfg.p_peak_max)),
             r_tilde=exp.r_tilde,
             u1_tilde=exp.u1_tilde,
-            **slacks,
         )
         with pytest.raises(InfeasibleExpansionError, match="power"):
             assemble_subproblem(over, cfg)
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_non_strict_warm_start_rejected(self, small_cfg, fixed):
-        # a tangent-bound slack just above lam + 1 breaks the affine row F
-        # at one slot; the start is the warm start or nothing
+        # at the start, row E is ln_a - sqrt(u1) with ln_a the construction
+        # value of u1; a warm-start u1 just below ln_a^2 breaks it at one
+        # slot, and the start is the warm start or nothing
         exp = initial_point(small_cfg)
-        lam = lambda_of(exp.traj_tilde.waypoints, small_cfg.willie_est,
-                        small_cfg.var_willie)
-        u2 = exp.u2_start.copy()
-        u2[5] = (lam[5] + 1.0) * (1.0 + 1e-9)
+        u1 = exp.u1_tilde.copy()
+        assert u1[5] ** 2 > 2.0 * U_FLOOR  # the start does not floor it
+        u1[5] = u1[5] ** 2 * (1.0 - 1e-9)
         nudged = ExpansionPoint(
             traj_tilde=exp.traj_tilde, p_tilde=exp.p_tilde, r_tilde=exp.r_tilde,
-            u1_tilde=exp.u1_tilde, y1_start=exp.y1_start, z1_start=exp.z1_start,
-            u2_start=u2,
+            u1_tilde=u1,
         )
         with pytest.raises(InfeasibleExpansionError,
-                           match=r"covert_F\[5\]: start residual .* is not strictly negative"):
+                           match=r"covert_E\[5\]: start residual .* is not strictly negative"):
             assemble_subproblem(nudged, small_cfg, fixed_trajectory=fixed)
-
-    def test_debug_dump(self, sub, tmp_path):
-        path = tmp_path / "sub.txt"
-        sub.dump(path)
-        text = path.read_text(encoding="utf-8")
-        assert f"n_var {sub.n_var}" in text
-        assert "outage_A[0]" in text
-        assert "expansion_power" in text
 
 
 class TestStpAssembly:
@@ -485,7 +479,57 @@ class TestStpAssembly:
         exp = initial_point(cfg)
         sub = assemble_subproblem(exp, cfg, fixed_trajectory=True)
         n = cfg.num_slots_N
-        assert sub.n_var == 6 * n
+        assert sub.n_var == 3 * n
         names = {f.name for f in sub.families}
         assert "mobility" not in names and "mobility_anchor" not in names
         assert float(np.max(sub.eval_values(sub.start))) < 0.0
+
+
+class TestOptimalSlackSubstitution:
+    """The assembled outage and covertness rows are the slack forms of the
+    reference oracles with each slack at its closed-form optimum."""
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_rows_match_slack_oracles(self, small_cfg, rng, fixed):
+        cfg = small_cfg
+        exp = initial_point(cfg)
+        model = DetectionModel.from_config(cfg)
+        sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed)
+        lay = sub.layout
+        q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
+        q_t = exp.traj_tilde.waypoints
+        checked = 0
+        for _ in range(20):
+            # multiplicative jitter keeps p, r and u1 positive
+            v = sub.start * np.exp(rng.normal(0, 0.2, sub.n_var))
+            v[q_cols] = sub.start[q_cols] + rng.normal(0, 2.0, q_cols.size)
+            q = sub.unpack(v)[0].waypoints
+            p, r, u1 = v[lay.p], v[lay.r], v[lay.u1]
+            dist2 = np.sum((q - cfg.bob_est) ** 2, axis=1)
+            res_a, _, _ = bti_outage_residuals(
+                q, p, r, np.full(len(q), cfg.var_bob),
+                np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2), cfg,
+                p_t=exp.p_tilde.powers, r_t=exp.r_tilde.rates)
+            slack = g5(q, q_t, cfg.willie_est, cfg.var_willie) + 1.0
+            res_d, res_e, res_f = covertness_residuals(
+                q, p, u1, slack, exp, model, cfg.rho_w, cfg.willie_est)
+            assert np.all(np.abs(res_f) <= 1e-15 * slack)  # row F is tight
+            expect = {"outage_A": res_a, "covert_D": res_d, "covert_E": res_e}
+            # each oracle's largest term, the scale its rounding lives on
+            e_t = np.exp2(exp.r_tilde.rates) - 1.0
+            scale = {"outage_A": cfg.altitude_H**2 + dist2
+                     + cfg.gamma0 * exp.p_tilde.powers * np.exp2(r) / (e_t * e_t),
+                     "covert_D": np.sqrt((lambda_of(q, cfg.willie_est, cfg.var_willie) + 1.0)
+                                         * np.maximum(u1, exp.u1_tilde)) + 1.0,
+                     "covert_E": np.log(lambda_of(q, cfg.willie_est, cfg.var_willie)
+                                        + 2.0 + model.h2_over_var) + 1.0}
+            for fam in sub.families:
+                kind = fam.name.removesuffix("_fixed")
+                if kind not in expect:
+                    continue
+                slots = np.array([int(lbl[lbl.index("[") + 1:-1]) for lbl in fam.row_labels])
+                got = fam.values(fam.gather(v))
+                err = np.abs(got - expect[kind][slots]) / scale[kind][slots]
+                assert np.max(err) <= 1e-12, (fam.name, float(np.max(err)))
+                checked += 1
+        assert checked == 20 * (3 if fixed else 6)
