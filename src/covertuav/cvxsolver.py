@@ -1,4 +1,4 @@
-"""Primal log-barrier interior-point solver for smooth convex programs.
+"""Primal-dual interior-point solver for smooth convex programs.
 
 Solves   minimize  c . v   subject to  c_i(v) <= 0
 with every c_i smooth and convex, supplied as vectorized residual families
@@ -7,11 +7,22 @@ This matches the subproblems assembled here: a few thousand variables,
 residuals touching only a handful of variables each, plus one dense linear
 budget row.
 
-The barrier parameter follows the classical path from a strictly feasible
-start (Boyd & Vandenberghe, Convex Optimization, 11.3): damped Newton
-centering with a feasibility-then-Armijo backtracking line search, geometric
-shrink of mu, and a duality-gap stop at m * mu. Iterates stay strictly
-feasible throughout; a start that is not strictly interior is an error, not
+Each iterate is a strictly feasible point v with slacks s = -c(v) > 0 and
+duals lam > 0 (S. J. Wright, Primal-Dual Interior-Point Methods, SIAM 1997).
+The Newton matrix is sum_i lam_i hess c_i + (lam_i / s_i) grad c_i
+grad c_i^T, the primal barrier Hessian with lam in place of mu / s, and the
+right-hand side is the barrier gradient at mu, so the step p descends the
+barrier merit c . v - mu sum log s and a feasibility-then-Armijo
+backtracking line search on that merit takes it. The duals then move by
+dlam = -lam + mu / s + lam (G p) / s with a fraction-to-boundary step and
+are clipped to within a factor KAPPA_SIGMA of mu / s. mu shrinks
+geometrically once the iterate solves the mu-problem to KAPPA_EPS mu
+(Waechter & Biegler, Math. Program. 106, 2006), and the solve stops when
+the gap lam . s and the dual residual c + G^T lam both meet their targets.
+A cold start takes lam = barrier_mu_init / s; a warm start takes the duals
+of a previous solve, with mu their mean complementarity at the new start,
+so a subproblem that starts near its optimum skips the walk to the
+analytic center. A start that is not strictly interior is an error, not
 something the solver repairs.
 
 Each line-search trial is tested family by family, the linear families first
@@ -27,19 +38,17 @@ Every Newton system is one banded Cholesky solve plus a Woodbury correction
 for the linear rows wider than the band, which keeps the cost per step linear
 in the number of slots. The band is as wide as the widest nonlinear
 residual's variable span (a dense nonlinear row makes it a dense Cholesky), or
-as a linear family of span w and r rows with w^2 <= r. A factorization that
-fails to round-off is retried on a ridge ladder (a growing multiple of the
-identity added to the diagonal). Gradient and Hessian entries are scattered
-with one precomputed index per solve, and what does not change within a
-solve is built once: the linear families' scaled gradients and G G^T entries,
-and the scaled constant Hessians. Other nonlinear Hessians contribute only on
-the nonzero pattern their family declares.
+as a linear family of span w and r rows with w^2 <= r. Gradient and Hessian
+entries are scattered with one precomputed index per solve, and what does not
+change within a solve is built once: the linear families' scaled gradients
+and G G^T entries, and the scaled constant Hessians. Other nonlinear Hessians
+contribute only on the nonzero pattern their family declares.
 
-A centering that cannot go on, because no trial within max_backtracks is
-acceptable or the Newton decrement is not finite and positive, ends the solve
-with status "stalled" at the current interior iterate; "max_iters" means the
-Newton budget ran out. Everything is deterministic: no randomized pivoting,
-no restarts.
+A solve that cannot go on, because the Newton matrix does not factor, no
+trial within max_backtracks is acceptable or the Newton decrement is not
+finite and positive, ends with status "stalled" at the current interior
+iterate; "max_iters" means the Newton budget ran out. Everything is
+deterministic: no randomized pivoting, no restarts.
 """
 
 from __future__ import annotations
@@ -52,19 +61,21 @@ import scipy.linalg as sla
 from scipy.optimize import nnls
 
 
+TAU = 0.99           # fraction-to-boundary factor of the dual step
+KAPPA_SIGMA = 1e10   # duals stay within this factor of mu / s
+KAPPA_EPS = 10.0     # mu shrinks once the mu-problem is solved to KAPPA_EPS * mu
+
+
 @dataclass(frozen=True)
 class SolverSettings:
-    kkt_tol: float = 1e-7          # duality-gap target relative to max(1, |f|)
+    kkt_tol: float = 1e-7          # stop: gap <= 0.1 kkt_tol max(1, |f|), dual
+                                   # residual <= 10 kkt_tol max(1, |c|_inf)
     max_iters: int = 200           # total Newton steps
-    barrier_mu_init: float = 1.0
+    barrier_mu_init: float = 1.0   # first mu of a cold start
     barrier_shrink: float = 0.2
     ls_alpha: float = 0.01         # Armijo slope fraction
     ls_beta: float = 0.5           # backtracking factor
     max_backtracks: int = 80
-    centering_tol: float = 1e-5    # Newton decrement^2 / 2, mid-path centers
-    final_centering_tol: float = 1e-9
-    center_step_cap: int = 25      # Newton steps per mid-path centering
-    final_step_cap: int = 60
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
@@ -92,7 +103,8 @@ class SolverResult:
     status: str             # "optimal" | "max_iters" | "stalled"
     kkt: KktReport
     iterations: int
-    gap: float              # duality-gap bound m * mu at exit
+    gap: float              # duality gap lam . s at exit
+    duals: np.ndarray       # one multiplier per residual row, in family order
     message: str = ""
     backtracks: int = 0     # line-search trials rejected (each shrinks t by ls_beta)
     merit_evals: int = 0    # trials inside the domain, so their merit was computed
@@ -236,30 +248,33 @@ def _trial_values(work: _Work, v: np.ndarray) -> np.ndarray | None:
     return out
 
 
-def _eval_pieces(work: _Work, v: np.ndarray, mu: float, vals=None):
-    """Barrier gradient (scaled coords) and per-family pieces at an interior v.
-
-    vals, when given, are the residual values at v in family order (the
-    accepted line-search trial's), so they are not evaluated again.
-    """
-    if vals is None:
-        vals = work.values(v)
+def _pieces(work: _Work, v: np.ndarray, vals: np.ndarray, lam: np.ndarray):
+    """Per-family Newton pieces at an interior v: (fi, V, s, G_w, lam) with
+    s = -c the slacks, G_w the gradient rows in scaled coordinates and lam
+    the duals of the family's rows."""
     pieces = []
     for fi in work.live:
         f = work.families[fi]
+        rows = work.rows[fi]
         V = v[f.idx]
-        c = vals[work.rows[fi]]
-        w2 = mu / (-c)
         G_w = work.g_lin.get(fi)
         if G_w is None:
             G_w = f.grads(V) * work.s_gath[fi]
-        np.multiply(G_w, w2[:, None], out=work.grad_rows[fi])
-        pieces.append((fi, V, c, G_w, w2))
-    return work.gradient(), pieces
+        pieces.append((fi, V, -vals[rows], G_w, lam[rows]))
+    return pieces
+
+
+def _gradient(work: _Work, pieces, weights: np.ndarray) -> np.ndarray:
+    """c_w + sum_i weights_i grad c_i in scaled coordinates: the barrier
+    gradient for weights mu / s, the Lagrangian's for weights lam."""
+    for fi, _, _, G_w, _ in pieces:
+        np.multiply(G_w, weights[work.rows[fi], None], out=work.grad_rows[fi])
+    return work.gradient()
 
 
 def _phi(work: _Work, v: np.ndarray, mu: float, vals=None) -> float:
-    """Barrier merit at v, inf outside the domain; vals as in _eval_pieces."""
+    """Barrier merit at v, inf outside the domain; vals, when given, are the
+    residual values at v (an accepted line-search trial's)."""
     if vals is None:
         vals = _trial_values(work, v)
         if vals is None:
@@ -267,16 +282,16 @@ def _phi(work: _Work, v: np.ndarray, mu: float, vals=None) -> float:
     return work.objective_w(v) - mu * float(np.sum(np.log(-vals)))
 
 
-def _band_weights(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> None:
-    """Write one family's barrier Hessian entries (scaled coordinates) to hess_w.
+def _band_weights(work: _Work, fi: int, V, s, G_w, lam) -> None:
+    """Write one family's Newton-matrix entries (scaled coordinates) to hess_w.
 
-    mu G G^T / c^2 at the kept entries, plus w2 (H s_i) s_j on the kept
+    (lam / s) G G^T at the kept entries, plus lam (H s_i) s_j on the kept
     entries of the Hessian's nonzero pattern: the same sums as over the
     whole (m, k, k) block.
     """
     P, Q, sl = work.h_pairs[fi]
-    out = work.hess_w[sl].reshape(vals.size, P.size)
-    coef = (mu / (vals * vals))[:, None]
+    out = work.hess_w[sl].reshape(s.size, P.size)
+    coef = (lam / s)[:, None]
     GG = work.gg_lin.get(fi)
     if GG is None:
         np.multiply(G_w[:, P], G_w[:, Q], out=out)
@@ -288,147 +303,132 @@ def _band_weights(work: _Work, mu: float, fi: int, V, vals, G_w, w2) -> None:
         h = work.h_const.get(fi)
         if h is None:
             h = work.families[fi].hess(V)[:, pi, pj] * s_i * s_j
-        out[:, at] += h * w2[:, None]
+        out[:, at] += h * lam[:, None]
 
 
-def _ridge_ladder(solve_shifted, diag: np.ndarray) -> np.ndarray:
-    """solve_shifted(ridge) for the first ridge whose factorization succeeds.
+def _newton_banded(work: _Work, pieces, g: np.ndarray) -> np.ndarray:
+    """Solve W p = -g, W = sum_i lam_i hess c_i + (lam_i / s_i) grad c_i grad c_i^T.
 
-    The first rung is ridge-free; then 1e-14 * max|diag|, times 100 per rung,
-    six rungs in all (Nocedal & Wright, Numerical Optimization, 3.4).
+    Band entries go to one banded Cholesky factorization; each row of a
+    family wider than the band is a dyad a a^T, a = sqrt(lam / s) grad c,
+    folded in by the Woodbury identity. A factorization that fails raises
+    numpy.linalg.LinAlgError.
     """
-    ridge = 0.0
-    for _ in range(6):
-        try:
-            return solve_shifted(ridge)
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 100.0, 1e-14 * (float(np.max(np.abs(diag))) or 1.0))
-    raise np.linalg.LinAlgError(
-        f"Newton system not positive definite up to ridge {ridge / 100.0:.3e}")
-
-
-def _newton_banded(work: _Work, pieces, g: np.ndarray, mu: float) -> np.ndarray:
-    d, u = work.d, work.band
     dyad_cols = []
     for piece in pieces:
-        fi, _, vals, G_w, _ = piece
+        fi, _, s, G_w, lam = piece
         if fi not in work.wide:
-            _band_weights(work, mu, *piece)
+            _band_weights(work, *piece)
             continue
-        # H contribution mu * G G^T / c^2 == a a^T, a = sqrt(mu) G / |c|
         f = work.families[fi]
-        coef = np.sqrt(mu) / (-vals)
+        coef = np.sqrt(lam / s)
         for r in range(f.m):
-            a = np.zeros(d)
+            a = np.zeros(work.d)
             a[f.idx[r]] = coef[r] * G_w[r]
             dyad_cols.append(a)
     ab = work.hessian()
-    A = np.stack(dyad_cols, axis=1) if dyad_cols else None
-
-    def solve_shifted(ridge):
-        shifted = ab
-        if ridge:
-            shifted = ab.copy()
-            shifted[u] += ridge  # row u of upper band storage is the diagonal
-        if A is None:
-            return sla.solveh_banded(shifted, -g, lower=False)
-        X = sla.solveh_banded(shifted, np.column_stack([-g, A]), lower=False)
-        x0, Y = X[:, 0], X[:, 1:]
-        Mk = np.eye(A.shape[1]) + A.T @ Y
-        return x0 - Y @ np.linalg.solve(Mk, A.T @ x0)
-
-    return _ridge_ladder(solve_shifted, ab[u])
+    if not dyad_cols:
+        return sla.solveh_banded(ab, -g, lower=False)
+    A = np.stack(dyad_cols, axis=1)
+    X = sla.solveh_banded(ab, np.column_stack([-g, A]), lower=False)
+    x0, Y = X[:, 0], X[:, 1:]
+    Mk = np.eye(A.shape[1]) + A.T @ Y
+    return x0 - Y @ np.linalg.solve(Mk, A.T @ x0)
 
 
-def _barrier_minimize(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
-                      settings: SolverSettings, log=None) -> SolverResult:
-    scale = work.scale
-    v, vals = v0.copy(), vals0
-    m = work.m
-    mu = settings.barrier_mu_init
+def _dual_step(work: _Work, pieces, p: np.ndarray, mu: float) -> np.ndarray:
+    """Newton step of the duals, dlam = -lam + mu / s + lam (G p) / s, where
+    G p is each row's directional derivative along the scaled step p."""
+    dlam = np.empty(work.m)
+    for fi, _, s, G_w, lam in pieces:
+        f = work.families[fi]
+        Gp = np.einsum("ij,ij->i", G_w, p[f.idx])
+        dlam[work.rows[fi]] = (mu + lam * Gp) / s - lam
+    return dlam
+
+
+def _clip_duals(lam: np.ndarray, s: np.ndarray, mu: float) -> np.ndarray:
+    """lam kept within a factor KAPPA_SIGMA of the central value mu / s."""
+    return np.clip(lam, mu / (KAPPA_SIGMA * s), KAPPA_SIGMA * mu / s)
+
+
+def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
+                 lam0: np.ndarray, mu: float, settings: SolverSettings) -> SolverResult:
+    v, vals, lam = v0.copy(), vals0, lam0
+    cw_norm = max(1.0, float(np.max(np.abs(work.c_w))))
+    dual_tol = 10.0 * settings.kkt_tol * cw_norm
     phi0 = None  # barrier merit at v for the current mu, once known
     total = backtracks = merit_evals = 0
-    status = "optimal"
-    message = ""
-    done = False
-    if log is not None:
-        log.write("iter,mu,merit,step,decrement,worst_residual\n")
+    status, message = "max_iters", "newton budget exhausted"
 
-    while not done:
-        gap_hit = m * mu <= _gap_target(work, v, settings)
-        ctol = settings.final_centering_tol if gap_hit else settings.centering_tol
-        step_cap = settings.final_step_cap if gap_hit else settings.center_step_cap
-        steps_here = 0
-        prev_dec2 = math.inf
-        while True:
-            g, pieces = _eval_pieces(work, v, mu, vals)
-            p = _newton_banded(work, pieces, g, mu)
-            dec2 = float(-g @ p)
-            if not np.isfinite(dec2) or dec2 <= 0:
-                status, done = "stalled", True
-                message = f"Newton decrement^2 {dec2:.3g} at mu {mu:.3g}"
-                break
-            if phi0 is None:
-                phi0 = _phi(work, v, mu, vals)
-            if 0.5 * dec2 <= ctol * max(1.0, abs(phi0)):
-                break
-            # float-precision stall: small decrement no longer contracting
-            if dec2 < 1e-7 and dec2 > 0.9 * prev_dec2:
-                break
-            if steps_here >= step_cap:
-                break  # partial centering is fine mid-path; mu keeps shrinking
-            if total >= settings.max_iters:
-                status, message, done = "max_iters", "newton budget exhausted", True
-                break
-            slope = float(g @ p)
-            step = p * scale
-            t, ok, phi1 = 1.0, False, math.inf
-            for _ in range(settings.max_backtracks):
-                cand = v + t * step
-                cand_vals = _trial_values(work, cand)
-                phi1 = math.inf
-                if cand_vals is not None:
-                    merit_evals += 1
-                    phi1 = _phi(work, cand, mu, cand_vals)
-                if phi1 <= phi0 + settings.ls_alpha * t * slope:
-                    ok = True
-                    break
-                backtracks += 1
-                t *= settings.ls_beta
-            total += 1
-            steps_here += 1
-            prev_dec2 = dec2
-            if log is not None:
-                log.write(f"{total},{mu:.6g},{phi1:.12g},{t:.6g},"
-                          f"{dec2:.6g},{float(np.max(vals)):.6g}\n")
-            if not ok:
-                status, done = "stalled", True
-                message = (f"no acceptable step in {settings.max_backtracks} "
-                           f"backtracks at mu {mu:.3g}")
-                break
-            if phi0 - phi1 < 1e-16 * max(1.0, abs(phi0)):
-                break  # stalled at numerical precision: accept as centered
-            v, vals, phi0 = cand, cand_vals, phi1
-        if done:
+    while True:
+        s = -vals
+        pieces = _pieces(work, v, vals, lam)
+        r_dual = _gradient(work, pieces, lam)
+        dual_inf = float(np.max(np.abs(r_dual)))
+        if (float(lam @ s) <= _gap_target(work, v, settings)
+                and dual_inf <= dual_tol):
+            status, message = "optimal", ""
             break
-        if gap_hit and steps_here < step_cap:
+        # monotone mu: shrink while the iterate solves the mu-problem to
+        # within KAPPA_EPS mu (Waechter & Biegler, 2006, eq. 7); the dual
+        # residual need not beat the final tolerance, which round-off can
+        # keep it from at the smallest mu
+        comp = lam * s
+        while (dual_inf <= max(KAPPA_EPS * mu * cw_norm, dual_tol)
+               and float(np.max(np.abs(comp - mu))) <= KAPPA_EPS * mu):
+            mu *= settings.barrier_shrink
+            phi0 = None
+        g = _gradient(work, pieces, mu / s)
+        try:
+            p = _newton_banded(work, pieces, g)
+        except np.linalg.LinAlgError:
+            status = "stalled"
+            message = f"Newton matrix not positive definite at mu {mu:.3g}"
             break
-        if gap_hit:
-            continue  # gap reached but final centering was cut short: finish it
-        mu *= settings.barrier_shrink
-        phi0 = None
+        dec2 = float(-g @ p)
+        if not np.isfinite(dec2) or dec2 <= 0:
+            status = "stalled"
+            message = f"Newton decrement^2 {dec2:.3g} at mu {mu:.3g}"
+            break
+        if total >= settings.max_iters:
+            break
+        if phi0 is None:
+            phi0 = _phi(work, v, mu, vals)
+        slope = float(g @ p)
+        step = p * work.scale
+        t, ok = 1.0, False
+        for _ in range(settings.max_backtracks):
+            cand = v + t * step
+            cand_vals = _trial_values(work, cand)
+            phi1 = math.inf
+            if cand_vals is not None:
+                merit_evals += 1
+                phi1 = _phi(work, cand, mu, cand_vals)
+            if phi1 <= phi0 + settings.ls_alpha * t * slope:
+                ok = True
+                break
+            backtracks += 1
+            t *= settings.ls_beta
+        total += 1
+        if not ok:
+            status = "stalled"
+            message = (f"no acceptable step in {settings.max_backtracks} "
+                       f"backtracks at mu {mu:.3g}")
+            break
+        # duals: fraction-to-boundary step, then back near the central path
+        dlam = _dual_step(work, pieces, p, mu)
+        shrinking = dlam < 0.0
+        alpha = float(np.min(-TAU * lam[shrinking] / dlam[shrinking], initial=1.0))
+        v, vals, phi0 = cand, cand_vals, phi1
+        lam = _clip_duals(lam + alpha * dlam, -vals, mu)
 
-    vals = work.values(v)
-    duals = mu / np.maximum(-vals, 1e-300)
-    kkt = KktReport(
-        primal=float(np.max(vals)) if m else -math.inf,
-        stationarity=_stationarity(work, v, duals),
-        complementarity=float(np.max(np.abs(duals * vals))) if m else 0.0,
-    )
+    kkt = KktReport(primal=float(np.max(vals)), stationarity=dual_inf,
+                    complementarity=float(np.max(lam * s)))
     return SolverResult(
         variables=v, objective=float(np.asarray(problem.obj_coef) @ v),
-        status=status, kkt=kkt, iterations=total, gap=m * mu, message=message,
-        backtracks=backtracks, merit_evals=merit_evals,
+        status=status, kkt=kkt, iterations=total, gap=float(lam @ s), duals=lam,
+        message=message, backtracks=backtracks, merit_evals=merit_evals,
     )
 
 
@@ -438,31 +438,24 @@ def _gap_target(work: _Work, v: np.ndarray, settings: SolverSettings) -> float:
     return 0.1 * settings.kkt_tol * max(1.0, abs(work.objective_w(v)))
 
 
-def _stationarity(work: _Work, v: np.ndarray, duals: np.ndarray) -> float:
-    for fi in work.live:
-        f = work.families[fi]
-        G_w = f.grads(v[f.idx]) * work.s_gath[fi]
-        np.multiply(G_w, duals[work.rows[fi], None], out=work.grad_rows[fi])
-    return float(np.max(np.abs(work.gradient())))
-
-
 def solve(problem, start: np.ndarray | None = None,
           settings: SolverSettings | None = None,
-          log_path=None) -> SolverResult:
+          duals: np.ndarray | None = None) -> SolverResult:
     """Minimize the problem's linear objective over its residual families.
 
     The start (problem.start unless given) must be strictly interior: a
     ValueError naming the worst row and its value is raised otherwise.
-    log_path, when given, receives one CSV line per Newton step (iteration,
-    mu, merit, step length, decrement, worst residual) for convergence
-    debugging.
+    duals, when given, warm-start the multipliers (one per residual row, in
+    family order, as SolverResult.duals returns them) and set the first mu
+    to their mean complementarity at the start; otherwise the duals start
+    at barrier_mu_init / s.
     """
     settings = settings or SolverSettings()
     v0 = np.array(problem.start if start is None else start, dtype=float)
     work = _Work(problem)
     if work.m == 0:
         return SolverResult(v0, float(np.asarray(problem.obj_coef) @ v0), "optimal",
-                            KktReport(-math.inf, 0.0, 0.0), 0, 0.0)
+                            KktReport(-math.inf, 0.0, 0.0), 0, 0.0, np.zeros(0))
 
     vals0 = work.values(v0)
     worst = int(np.argmax(vals0))
@@ -470,12 +463,18 @@ def solve(problem, start: np.ndarray | None = None,
         labels = [label for f in work.families for label in f.row_labels]
         raise ValueError(f"start is not strictly interior: residual "
                          f"{labels[worst]} = {vals0[worst]:.3e}")
-    if log_path is None:
-        return _barrier_minimize(work, problem, v0, vals0, settings)
-    from pathlib import Path
-
-    with Path(log_path).open("w", encoding="utf-8") as log:
-        return _barrier_minimize(work, problem, v0, vals0, settings, log=log)
+    s0 = -vals0
+    if duals is None:
+        mu = settings.barrier_mu_init
+        lam0 = mu / s0
+    else:
+        lam0 = np.asarray(duals, dtype=float)
+        if lam0.shape != (work.m,):
+            raise ValueError(f"duals have shape {lam0.shape}, the problem has "
+                             f"{work.m} residual rows")
+        mu = float(lam0 @ s0) / work.m
+        lam0 = _clip_duals(lam0, s0, mu)
+    return _primal_dual(work, problem, v0, vals0, lam0, mu, settings)
 
 
 # ---------------------------------------------------------------------------

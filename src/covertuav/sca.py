@@ -7,11 +7,13 @@ the largest uniform transmit power whose covertness residuals hold on that
 path and backs the per-slot rates out of the outage inequality in closed form.
 
 Each outer iteration assembles the convex restriction at the current point,
-solves it, re-verifies the exact constraints, and repeats until the mean rate
-stops improving, both in absolute terms (sca_tolerance) and relative to the
-rate itself. Restriction plus tangency make the objective nondecreasing and
-every iterate feasible for the original problem, so no damping or trust region
-is needed.
+solves it from there with the previous solve's duals, re-verifies the exact
+constraints, and repeats until the mean rate stops improving, both in
+absolute terms (sca_tolerance) and relative to the rate itself. Restriction
+plus tangency make the objective nondecreasing and every iterate feasible for
+the original problem, so no damping or trust region is needed. A solve that
+stops short ("stalled" or "max_iters") ends the loop; if it ends below its
+start's rate, the loop keeps the start.
 """
 
 from __future__ import annotations
@@ -323,6 +325,7 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
     objectives = [exp.r_tilde.mean]
     points = [exp]
     solves = 0
+    duals = None  # the last solve's, to warm-start the next
     reason = "outer_iteration_cap"
     for _ in range(settings.max_outer):
         try:
@@ -333,9 +336,17 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
                     f"initial point rejected by the subproblem: {exc}") from exc
             reason = "expansion_rejected"
             break
-        res = cvxsolver.solve(sub, settings=settings.solver)
+        res = cvxsolver.solve(sub, settings=settings.solver, duals=duals)
         solves += 1
+        duals = res.duals
         traj, powers, rates, u1 = sub.unpack(res.variables)
+        if res.status in _SOLVE_STOPS and rates.mean < objectives[-1]:
+            # a solve cut short may end below its start, which is feasible
+            # by construction: keep the start
+            objectives.append(objectives[-1])
+            points.append(exp)
+            reason = _SOLVE_STOPS[res.status]
+            break
         margins = exact_feasibility(traj, powers, rates, cfg, model)
         if not exact_feasible(margins, cfg):
             reason = "feasibility_regression"

@@ -11,9 +11,10 @@ from covertuav.cvxsolver import (
     BarrierProblem,
     SolverSettings,
     _Work,
-    _eval_pieces,
+    _gradient,
     _newton_banded,
     _phi,
+    _pieces,
     _trial_values,
     check_kkt,
     residual_values,
@@ -67,38 +68,55 @@ class QuadEpigraph(ResidualFamily):
         return h
 
 
-def dense_newton_oracle(problem, gathered, mu):
-    """Test oracle: the barrier Newton direction from a dense d x d system.
+def newton_system(work, v, mu, lam=None):
+    """(barrier gradient at mu, Newton pieces) at v, with duals mu / s unless given."""
+    vals = work.values(v)
+    lam = mu / -vals if lam is None else lam
+    pieces = _pieces(work, v, vals, lam)
+    return _gradient(work, pieces, mu / -vals), pieces
 
-    gathered[i] is family i's (m, k) variable matrix. In scaled coordinates
-    (v = var_scale * w) the barrier gradient and Hessian are
-        g = var_scale * obj_coef + sum_i mu G_i / (-c_i),
-        H = sum_i mu (G_i G_i^T / c_i^2 + H_i / (-c_i)),
-    with c_i the residual values and G_i, H_i their gradients and Hessians in
-    w, assembled here row by row with np.add.at. H p = -g is solved densely
-    after symmetric diagonal equilibration, D H D y = -D g with
-    D = diag(H)^(-1/2) and p = D y: the barrier terms spread H's diagonal
-    over many decades, and unequilibrated elimination loses digits the
-    banded Cholesky keeps. Returns (p, g).
+
+def dense_newton_oracle(problem, gathered, mu, lam=None):
+    """Test oracle: the primal-dual Newton system as a dense d x d matrix.
+
+    gathered[i] is family i's (m, k) variable matrix and lam the duals of
+    all rows in family order (mu / s when None). In scaled coordinates
+    (v = var_scale * w) the barrier gradient and Newton matrix are
+        g = var_scale * obj_coef + sum_i mu G_i / s_i,
+        H = sum_i lam_i (G_i G_i^T / s_i + H_i),
+    with s_i = -c_i the slacks and G_i, H_i the residuals' gradients and
+    Hessians in w, assembled here row by row with np.add.at; at lam = mu / s
+    H is the barrier Hessian. Returns (H, g).
     """
     scale = np.asarray(problem.var_scale, dtype=float)
     d = scale.size
     g = np.asarray(problem.obj_coef, dtype=float) * scale
     H = np.zeros((d, d))
+    pos = 0
     for f, V in zip(problem.families, gathered):
         if f.m == 0:
             continue
-        c = f.values(V)
+        slack = -f.values(V)
+        w = mu / slack if lam is None else lam[pos:pos + f.m]
+        pos += f.m
         s = scale[f.idx]
         G = f.grads(V) * s
         Hf = f.hess(V) * s[:, :, None] * s[:, None, :]
-        np.add.at(g, f.idx, mu * G / -c[:, None])
-        blocks = mu * (np.einsum("mi,mj->mij", G, G) / (c * c)[:, None, None]
-                       + Hf / -c[:, None, None])
+        np.add.at(g, f.idx, mu * G / slack[:, None])
+        blocks = w[:, None, None] * (np.einsum("mi,mj->mij", G, G) / slack[:, None, None]
+                                     + Hf)
         np.add.at(H, (f.idx[:, :, None], f.idx[:, None, :]), blocks)
+    return H, g
+
+
+def dense_direction(H, g):
+    """H p = -g by dense elimination after symmetric diagonal equilibration,
+    D H D y = -D g with D = diag(H)^(-1/2) and p = D y: the barrier terms
+    spread H's diagonal over many decades, and unequilibrated elimination
+    loses digits the banded Cholesky keeps."""
     dinv = 1.0 / np.sqrt(np.diag(H))
     y = np.linalg.solve(H * dinv[:, None] * dinv[None, :], -g * dinv)
-    return dinv * y, g
+    return dinv * y
 
 
 class TestToys:
@@ -187,6 +205,55 @@ class TestKkt:
         assert bad.max_residual() >= good.max_residual() + 1e-4
 
 
+def dual_tol(sub, settings):
+    """The solver's stop tolerance on the dual residual of sub."""
+    c_w = np.asarray(sub.obj_coef) * np.asarray(sub.var_scale)
+    return 10.0 * settings.kkt_tol * max(1.0, float(np.max(np.abs(c_w))))
+
+
+class TestDuals:
+    @pytest.fixture(scope="class")
+    def first_solves(self, small_cfg):
+        """(subproblem, its solve) for small_cfg's first JTP and STP subproblems."""
+        exp = initial_point(small_cfg)
+        out = []
+        for fixed in (False, True):
+            sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
+            out.append((sub, solve(sub, settings=ScaSettings().solver)))
+        return out
+
+    def test_duals_certify_stationarity(self, first_solves):
+        settings = ScaSettings().solver
+        for sub, res in first_solves:
+            assert res.status == "optimal"
+            assert res.kkt.stationarity <= dual_tol(sub, settings)
+            assert res.gap == pytest.approx(float(res.duals @ -sub.eval_values(res.variables)))
+            cut = solve(sub, settings=SolverSettings(max_iters=3))
+            assert cut.status == "max_iters" and cut.iterations == 3
+            assert cut.kkt.stationarity > 100.0 * dual_tol(sub, settings)
+
+    def test_check_kkt_agrees_with_the_solver(self, first_solves):
+        for sub, res in first_solves:
+            audit = check_kkt(sub, res.variables, duals=res.duals)
+            assert audit.primal == pytest.approx(res.kkt.primal, rel=1e-12)
+            assert audit.stationarity == pytest.approx(res.kkt.stationarity, rel=1e-9)
+            assert audit.complementarity == pytest.approx(res.kkt.complementarity, rel=1e-12)
+
+    def test_warm_restart_from_the_optimum(self, first_solves):
+        # the optimum and its duals solve the subproblem again at once
+        sub, res = first_solves[0]
+        again = solve(sub, start=res.variables, settings=ScaSettings().solver,
+                      duals=res.duals)
+        assert again.status == "optimal"
+        assert again.iterations <= 5
+        assert again.objective == pytest.approx(res.objective, abs=1e-9)
+
+    def test_duals_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"duals have shape \(3,\), the problem "
+                                             r"has 2 residual rows"):
+            solve(one_d_problem(), duals=np.ones(3))
+
+
 class TestRobustness:
     def test_exterior_start_rejected(self):
         prob = one_d_problem()
@@ -222,12 +289,16 @@ class TestRobustness:
             sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
             work = _Work(sub)
             v = sub.start
-            for mu in [1.0, 1e-4]:
-                gb, pieces = _eval_pieces(work, v, mu)
-                dd, gd = dense_newton_oracle(sub, [v[f.idx] for f in sub.families], mu)
+            gathered = [v[f.idx] for f in sub.families]
+            # duals off the central path: mu / s times factors in [0.1, 10]
+            off = np.exp(np.random.default_rng(7).uniform(-2.3, 2.3, work.m))
+            for mu, factor in [(1.0, None), (1e-4, None), (1e-4, off)]:
+                lam = None if factor is None else factor * mu / -work.values(v)
+                gb, pieces = newton_system(work, v, mu, lam)
+                H, gd = dense_newton_oracle(sub, gathered, mu, lam)
                 assert np.allclose(gb, gd, rtol=1e-12)
-                db = _newton_banded(work, pieces, gb, mu)
-                assert np.allclose(db, dd, rtol=1e-6, atol=1e-9)
+                db = _newton_banded(work, pieces, gb)
+                assert np.allclose(db, dense_direction(H, gd), rtol=1e-6, atol=1e-9)
 
     def test_banded_and_dense_optima_agree(self, small_cfg, monkeypatch):
         from covertuav.convexify import assemble_subproblem
@@ -236,18 +307,22 @@ class TestRobustness:
         sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
         rb = solve(sub, settings=SolverSettings())
 
-        def dense(work, pieces, g, mu):
+        def dense(work, pieces, g):
             by_family = {fi: V for fi, V, *_ in pieces}
             gathered = [by_family.get(fi) for fi in range(len(sub.families))]
-            return dense_newton_oracle(sub, gathered, mu)[0]
+            lam = np.empty(work.m)
+            for fi, _, _, _, lam_f in pieces:
+                lam[work.rows[fi]] = lam_f
+            # given the duals, the Newton matrix does not depend on mu
+            return dense_direction(dense_newton_oracle(sub, gathered, 1.0, lam)[0], g)
 
         monkeypatch.setattr(cvxsolver, "_newton_banded", dense)
         rd = solve(sub, settings=SolverSettings())
         assert rb.objective == pytest.approx(rd.objective, rel=1e-6, abs=1e-9)
 
-    def test_banded_ridge_ladder_needs_no_dense_fallback(self, monkeypatch):
+    def test_failed_factorization_reports_stalled(self):
         # the last of 64 variables sits in no residual row, so its band
-        # diagonal is exactly zero and the ridge-free factorization fails
+        # diagonal is exactly zero and the banded factorization fails
         d = 64
         lo, hi = np.full(d, -1.0), np.full(d, 1.0)
         lo[-1], hi[-1] = -np.inf, np.inf
@@ -260,28 +335,16 @@ class TestRobustness:
         # the 62-row chain of span 1 widens the band to 1, not 62 dyads
         assert work.band == 1 and work.wide == set()
 
-        outcomes = []
-        solveh_banded = cvxsolver.sla.solveh_banded
-
-        def recorded(*args, **kwargs):
-            try:
-                out = solveh_banded(*args, **kwargs)
-            except np.linalg.LinAlgError:
-                outcomes.append("failed")
-                raise
-            outcomes.append("solved")
-            return out
-
-        monkeypatch.setattr(cvxsolver.sla, "solveh_banded", recorded)
-        g, pieces = _eval_pieces(work, prob.start, 0.1)
-        p = _newton_banded(work, pieces, g, 0.1)
-        assert outcomes[0] == "failed" and outcomes[-1] == "solved"
-        assert np.all(np.isfinite(p))
-        assert float(g @ p) < 0.0
+        res = solve(prob, settings=SolverSettings(barrier_mu_init=0.1))
+        assert res.status == "stalled"
+        assert res.message == "Newton matrix not positive definite at mu 0.1"
+        assert res.iterations == 0
+        assert np.array_equal(res.variables, prob.start)
 
     def test_study_run_stays_banded(self):
-        # T = 210 s is the study point where the ridge-free banded
-        # factorization fails to round-off on some Newton steps
+        # T = 210 s is the study point whose smallest-mu Newton systems needed
+        # a ridge to factor under the primal barrier; with no ridge, a failed
+        # factorization would stall the run
         from covertuav.scenario import baseline_config
         from covertuav.sca import run_jtp, run_stp
 
@@ -298,8 +361,8 @@ class TestRobustness:
         mu = 0.1
         last = _phi(work, v, mu)
         for _ in range(20):
-            g, pieces = _eval_pieces(work, v, mu)
-            p = _newton_banded(work, pieces, g, mu)
+            g, pieces = newton_system(work, v, mu)
+            p = _newton_banded(work, pieces, g)
             if float(-g @ p) < 1e-14:
                 break
             t = 1.0
@@ -326,8 +389,8 @@ class TestRobustness:
         # it: a change to any Newton iterate moves these figures
         study = cfg.with_updates(flight_period_T=200.0)
         exp = initial_point(study)
-        for fixed, iterations, objective in ((False, 45, -0.0003340107796607864),
-                                             (True, 45, -0.0003338555600918968)):
+        for fixed, iterations, objective in ((False, 38, -0.0003340113868069986),
+                                             (True, 36, -0.00033385439975260826)):
             sub = assemble_subproblem(exp, study, fixed_trajectory=fixed)
             res = solve(sub, settings=ScaSettings().solver)
             assert res.status == "optimal"
@@ -385,8 +448,8 @@ def newton_steps(small_cfg):
         sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
         work = _Work(sub)
         for mu in (1.0, 1e-3):
-            g, pieces = _eval_pieces(work, sub.start, mu)
-            out.append((sub, _newton_banded(work, pieces, g, mu) * work.scale))
+            g, pieces = newton_system(work, sub.start, mu)
+            out.append((sub, _newton_banded(work, pieces, g) * work.scale))
     return out
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_cvxsolver import dual_tol
 
+from covertuav import cvxsolver
 from covertuav.convexify import assemble_subproblem, exact_feasibility, exact_feasible
 from covertuav.cvxsolver import SolverSettings
 from covertuav.detection import DetectionModel, lambda_of
@@ -178,6 +180,28 @@ class TestScaLoop:
         clone = Plan.from_dict(plan.to_dict())
         assert clone.actr == plan.actr
         assert np.allclose(clone.trajectory.waypoints, plan.trajectory.waypoints)
+
+
+@pytest.mark.parametrize("period", [None, 200.0, 210.0, 250.0, 300.0])
+@pytest.mark.parametrize("runner", [run_jtp, run_stp])
+def test_last_solve_certifies_stationarity(small_cfg, monkeypatch, period, runner):
+    # the duals of a converged plan's last solve leave a dual residual under
+    # the solver's tolerance; None stands for small_cfg, the rest are the
+    # flight-period study
+    cfg = small_cfg if period is None else baseline_config(flight_period_T=period)
+    solves = []
+    solve = cvxsolver.solve
+
+    def recorded(sub, **kwargs):
+        solves.append((sub, solve(sub, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(cvxsolver, "solve", recorded)
+    settings = ScaSettings()
+    _, trace = runner(cfg, settings=settings)
+    assert trace.stop_reason == "converged"
+    sub, res = solves[-1]
+    assert res.kkt.stationarity <= dual_tol(sub, settings.solver)
 
 
 @pytest.fixture(scope="module")
