@@ -27,6 +27,7 @@ from .sca import (
     Plan,
     ScaSettings,
     ScaTrace,
+    SolveRecord,
     InfeasibleScenarioError,
     initial_point,
     line_segment_trajectory,
@@ -43,7 +44,7 @@ __all__ = [
     "DetectionModel", "NoncentralChi2", "xi_lower_bound",
     "ExpansionPoint", "ConvexSubproblem", "assemble_subproblem",
     "SolverSettings", "SolverResult", "solve", "check_kkt",
-    "Plan", "ScaSettings", "ScaTrace", "InfeasibleScenarioError",
+    "Plan", "ScaSettings", "ScaTrace", "SolveRecord", "InfeasibleScenarioError",
     "initial_point", "line_segment_trajectory", "run_jtp", "run_stp",
     "McSettings", "ValidationReport", "validate_plan",
 ]

@@ -1,9 +1,10 @@
 """Experiment command line: single runs, parameter sweeps, and plan audits.
 
 Outputs are machine-readable: plan.json (trajectory, powers, rates, per-slot
-diagnostics), trace.csv (objective history), sweep.csv (one row per sweep
-cell), validation.json (Monte Carlo audit). Floats are written with at most
-12 significant digits so outputs are byte-stable across platforms.
+diagnostics), trace.csv (objective history with each solve's Newton steps
+and dual residual), sweep.csv (one row per sweep cell), validation.json
+(Monte Carlo audit). Floats are written with at most 12 significant digits
+so outputs are byte-stable across platforms.
 
 Exit codes: 0 success, 1 I/O or parse error (including slot-count mismatch),
 2 infeasible scenario or failed validation criteria.
@@ -132,9 +133,11 @@ def _write_plan_outputs(out_dir: Path, plan, trace, scheme: str) -> None:
     _write_json(out_dir / "plan.json", payload)
     with (out_dir / "trace.csv").open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["iter", "actr_bps_hz"])
+        w.writerow(["iter", "actr_bps_hz", "newton_steps", "dual_residual"])
         for i, obj in enumerate(trace.objectives):
-            w.writerow([i, f"{obj:.12g}"])
+            rec = trace.solves[i - 1] if i else None
+            w.writerow([i, f"{obj:.12g}"] + (["", ""] if rec is None else [
+                rec.newton_steps, f"{rec.dual_residual:.12g}"]))
 
 
 def cmd_run(config_path, out_dir, scheme: str = "JTP", seed: int = 20240,

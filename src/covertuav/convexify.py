@@ -19,9 +19,14 @@ This module turns them into a smooth convex subproblem:
   which stays smooth when consecutive waypoints coincide while hovering).
 
 The slack forms themselves, bti_outage_residuals and covertness_residuals,
-stay as reference oracles. Every residual is exposed with analytic gradient
-and Hessian on its own variable support; the solver consumes the vectorized
-family view, and tests consume the per-row view.
+stay as reference oracles. The subproblem has four residual families: the
+step caps (mobility), the average-power budget, the simple bounds, and one
+slot family whose three rows per slot (outage A, covertness D and E) share
+one gather of the slot's variables. A fixed waypoint (the landing point in
+the joint scheme, every waypoint in the power-only one) enters the rows as a
+constant, so the power-only subproblem is the joint one with every waypoint
+fixed. Each family returns analytic gradients and its Hessians only at the
+entries of its declared pattern.
 """
 
 from __future__ import annotations
@@ -273,31 +278,36 @@ class VarLayout:
 # ---------------------------------------------------------------------------
 
 class ResidualFamily:
-    """A block of structurally identical residuals c_i(v) <= 0.
+    """Blocks of structurally identical residuals c_i(v) <= 0.
 
-    idx holds, per row, the flat indices of the variables the row touches.
-    values/grads/hess take the gathered (m, k) variable matrix. Rows must be
-    convex; NaNs in values are treated as out-of-domain by the solver.
-    hess_pattern lists the (i, j) entries of a row's Hessian that can be
-    nonzero (None: all of them), and hess_constant marks a Hessian that does
-    not depend on the variables; the solver builds its Newton blocks from
-    these.
+    idx holds, per block, the flat indices of the variables its rows touch;
+    a negative index marks a constant column (a fixed waypoint) whose value
+    the family supplies itself, and derivatives along it are ignored. Each
+    block carries `rows` residual rows over the same variables, so m is the
+    number of blocks times rows, and rows are numbered block by block.
+    values/grads/hess take the gathered (blocks, k) variable matrix: values
+    returns the m row values, grads (blocks, rows, k) and hess the Hessian
+    entries listed in hess_pattern, (blocks, rows, len(hess_pattern)); with
+    one row per block the rows axis may be left out. hess_pattern lists the
+    (i, j), i <= j, entries of a row's symmetric Hessian that can be
+    nonzero. Rows must be convex; NaNs in values are treated as out-of-domain
+    by the solver.
     """
 
     name: str = "residual"
     is_linear = False
-    hess_pattern = None
-    hess_constant = False
+    rows = 1
+    hess_pattern: tuple = ()
 
     def __init__(self, idx: np.ndarray, row_labels: list[str]):
         self.idx = np.asarray(idx, dtype=np.int64)
         if self.idx.ndim != 2:
-            raise ValueError("idx must be (m, k)")
+            raise ValueError("idx must be (blocks, k)")
         self.row_labels = row_labels
 
     @property
     def m(self) -> int:
-        return self.idx.shape[0]
+        return self.idx.shape[0] * self.rows
 
     @property
     def k(self) -> int:
@@ -313,7 +323,6 @@ class ResidualFamily:
         raise NotImplementedError
 
     def hess(self, V: np.ndarray) -> np.ndarray:
-        """Per-row (k, k) Hessian blocks, shape (m, k, k)."""
         raise NotImplementedError
 
 
@@ -334,276 +343,198 @@ class LinearFamily(ResidualFamily):
     def grads(self, V):
         return np.broadcast_to(self.coef, V.shape).copy()
 
-    def hess(self, V):
-        return np.zeros((self.m, self.k, self.k))
-
 
 class StepCapFamily(ResidualFamily):
-    """Squared step-length caps |p1 - p2|^2 - L_eff^2 <= 0.
+    """Squared step-length caps |w_prev - w|^2 - L_eff^2 <= 0, one row per step.
 
-    Rows either join two free waypoints (k = 4, columns x, y of the earlier
-    one, then x, y of the later one) or one free waypoint and a constant
-    anchor (k = 2).
+    Columns: x, y of the earlier waypoint, then x, y of the later one. A fixed
+    end of a step (the takeoff or landing point) has index -1 and its
+    coordinates in `fixed`.
     """
 
-    hess_constant = True
+    hess_pattern = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
 
-    def __init__(self, idx, anchors, cap_sq, name, row_labels):
+    def __init__(self, idx, fixed, cap_sq, name, row_labels):
         super().__init__(idx, row_labels)
         self.name = name
-        self.anchors = None if anchors is None else np.asarray(anchors, dtype=float)
+        self.free = self.idx >= 0
+        self.fixed = np.asarray(fixed, dtype=float)
         self.cap_sq = float(cap_sq)
-        self.hess_pattern = [(i, i) for i in range(self.k)]
-        if self.anchors is None:
-            self.hess_pattern += [(0, 2), (2, 0), (1, 3), (3, 1)]
+        self._hess = np.broadcast_to([2.0, 2.0, 2.0, 2.0, -2.0, -2.0], (len(idx), 6))
 
     def _delta(self, V):
-        if self.anchors is None:
-            return V[:, 0:2] - V[:, 2:4]
-        return V - self.anchors
+        W = np.where(self.free, V, self.fixed)
+        return W[:, 0] - W[:, 2], W[:, 1] - W[:, 3]
 
     def values(self, V):
-        d = self._delta(V)
-        return np.sum(d * d, axis=1) - self.cap_sq
+        dx, dy = self._delta(V)
+        return dx * dx + dy * dy - self.cap_sq
 
     def grads(self, V):
-        d = self._delta(V)
-        if self.anchors is None:
-            return np.concatenate([2.0 * d, -2.0 * d], axis=1)
-        return 2.0 * d
+        dx, dy = self._delta(V)
+        g = np.empty((4, V.shape[0]))
+        np.multiply(dx, 2.0, out=g[0])
+        np.multiply(dy, 2.0, out=g[1])
+        np.negative(g[0:2], out=g[2:4])
+        return g.T
 
     def hess(self, V):
-        if self.anchors is None:
-            h = np.zeros((4, 4))
-            h[0, 0] = h[1, 1] = h[2, 2] = h[3, 3] = 2.0
-            h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = -2.0
-        else:
-            h = 2.0 * np.eye(2)
-        return np.broadcast_to(h, (self.m,) + h.shape).copy()
+        return self._hess
+
+
+_LN2 = math.log(2.0)
 
 
 class SlotFamily(ResidualFamily):
-    """One row per slot whose waypoint terms are either live or constant.
+    """The outage row and the two covertness rows of every slot, over one
+    gather of the slot's [qx, qy, P, R, u1].
 
-    With has_q the first two columns are the slot's free waypoint (qx, qy)
-    and the row adds _q_value(q); otherwise the waypoint stays at q_t and
-    _q_value(q_t) joins const when the family is built. The other columns
-    carry _rest_value. The waypoint block of the Hessian is a full 2 x 2, and
-    the rest is diagonal on the columns listed in _curved.
+    Rows per slot, in this order, with per-slot constants of the expansion
+    point (c_a holds the bound slack's a_b eps^2):
+      outage_A: c_a + |q - bob|^2 + s_b sqrt(2 eps^4 + 2 eps^2 |q - bob|^2)
+                + C1 (1/P - 1/Pt) + C2 2^Rt expm1(ln2 (R - Rt)),
+      covert_D: c_d + l_d P + m_d u1 - sqrt(u1) + n_d |q - willie|^2
+                - k_w sqrt(sl),
+      covert_E: c_e + l_e P - sqrt(u1) + n_e |q - willie|^2 - ln(sl + e_c),
+    where sl = g5(q) + 1 = lam_t + 1 + g5_grad . (q - q_t) is the tangent-
+    bound slack at its optimum, affine in q; its tails are convex and
+    decreasing, so D and E are convex. A's square root is the cone slack's
+    norm, smooth because of the eps^4 term. A's expansion-relative terms are
+    kept in difference form: the raw coefficients reach ~gamma0/(2^Rt - 1)^2,
+    and evaluating them against a separate constant would cancel ~1e10
+    against ~1e10 to produce a ~1e-4 residual.
+
+    Free waypoints come first (the layout fixes at most the trailing ones);
+    a fixed waypoint (index -1) folds its terms into the row constants. The
+    Hessian of each row is nonzero only on the waypoint block and on the
+    diagonal of P, R and u1.
     """
 
-    _curved: tuple = ()
+    name = "slot"
+    rows = 3
+    hess_pattern = ((0, 0), (0, 1), (1, 1), (2, 2), (3, 3), (4, 4))
 
-    def __init__(self, idx, has_q, q_t, const, name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
-        self.has_q = has_q
-        self.q_t = np.asarray(q_t, dtype=float)
-        self._o = o = 2 if has_q else 0
-        const = np.asarray(const, dtype=float)
-        self.const = const if has_q else const + self._q_value(self.q_t)
-        self.hess_pattern = ([(0, 0), (0, 1), (1, 0), (1, 1)] if has_q else []) + [
-            (o + c, o + c) for c in self._curved]
+    def __init__(self, idx, q_fix, c_a, c_d, c_e, *, bob_est, eps2, s_b, c1, c2, p_t, r_t,
+                 q_t, willie_est, var_w, quad_d, quad_e, lin_p_d, lin_p_e, lin_u1_d, k_w,
+                 e_c):
+        n = len(idx)
+        kinds = ("outage_A", "covert_D", "covert_E")
+        super().__init__(idx, [f"{kind}[{i}]" for i in range(n) for kind in kinds])
+        free = self.idx[:, 0] >= 0
+        self.nf = nf = int(free.sum())
+        if not free[:nf].all():
+            raise ValueError("free waypoints must precede the fixed ones")
+        # every array below is one value per slot, or per free slot for the
+        # waypoint terms, so that each operation runs over one contiguous row
+        self.bx, self.by = (float(x) for x in bob_est)
+        self.wx, self.wy = (float(x) for x in willie_est)
+        self.e4, self.e2 = 2.0 * eps2 * eps2, 2.0 * eps2
+        self.s_b, self.k_w, self.e_c = float(s_b), float(k_w), float(e_c)
+        self.c1, self.p_t, self.r_t = c1, p_t, r_t
+        self.c2rt = c2 * np.exp2(r_t)
+        self.l_d, self.l_e, self.m_d = lin_p_d, lin_p_e, lin_u1_d
+        dw = q_t - np.asarray(willie_est, dtype=float)
+        g5 = (2.0 / var_w) * dw
+        lam1_t = np.sum(dw * dw, axis=1) / var_w + 1.0
+        self.n_d, self.n_e = quad_d / var_w, quad_e / var_w
+        self.const = np.stack([c_a, c_d, c_e])
+        self._add_q_values(self.const[:, nf:], *np.asarray(q_fix, dtype=float)[nf:].T, *(
+            x[nf:] for x in (q_t[:, 0], q_t[:, 1], g5[:, 0], g5[:, 1], lam1_t,
+                             self.n_d, self.n_e)))
+        self.q_free = tuple(np.ascontiguousarray(x[:nf]) for x in (
+            q_t[:, 0], q_t[:, 1], g5[:, 0], g5[:, 1], lam1_t, self.n_d, self.n_e))
+        # gradient entries that do not depend on the variables
+        self.g_const = np.zeros((3, 5, n))
+        self.g_const[1, 2] = lin_p_d
+        self.g_const[2, 2] = lin_p_e
+
+    def _slack(self, qx, qy, qtx, qty, gx, gy, lam1_t):
+        return lam1_t + (gx * (qx - qtx) + gy * (qy - qty))
+
+    def _add_q_values(self, out, qx, qy, qtx, qty, gx, gy, lam1_t, n_d, n_e):
+        """Add the waypoint terms of the three rows at (qx, qy) to out (3, slots)."""
+        dbx, dby = qx - self.bx, qy - self.by
+        nb = dbx * dbx + dby * dby
+        dwx, dwy = qx - self.wx, qy - self.wy
+        nw = dwx * dwx + dwy * dwy
+        s = self._slack(qx, qy, qtx, qty, gx, gy, lam1_t)
+        out[0] += nb + self.s_b * np.sqrt(self.e4 + self.e2 * nb)
+        out[1] += n_d * nw - self.k_w * np.sqrt(s)
+        out[2] += n_e * nw - np.log(s + self.e_c)
+
+    # values, grads and hess build their output slot axis last, (3, ..., n),
+    # and return its (n, 3, ...) view
 
     def values(self, V):
+        nf = self.nf
+        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        out = np.empty((3, V.shape[0]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self.const + self._rest_value(V[:, self._o:])
-            if self.has_q:
-                out = out + self._q_value(V[:, 0:2])
-        return out
+            rest = (self.c1 * (self.p_t - p) / (p * self.p_t)
+                    + self.c2rt * np.expm1(_LN2 * (r - self.r_t)))
+            # 1/p is only the convex branch for positive power
+            out[0] = np.where(p > 0.0, rest, np.inf)
+            su = np.sqrt(u1)
+            out[1] = self.l_d * p + self.m_d * u1 - su
+            out[2] = self.l_e * p - su
+            out += self.const
+            if nf:
+                self._add_q_values(out[:, :nf], V[:nf, 0], V[:nf, 1], *self.q_free)
+        return out.T.reshape(-1)
 
     def grads(self, V):
-        g = np.empty_like(V)
-        g[:, self._o:] = self._rest_grad(V[:, self._o:])
-        if self.has_q:
-            g[:, 0:2] = self._q_grad(V[:, 0:2])
-        return g
+        nf = self.nf
+        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        g = self.g_const.copy()
+        g[0, 2] = -self.c1 / (p * p)
+        g[0, 3] = (self.c2rt * _LN2) * np.exp2(r - self.r_t)
+        half_isu = 0.5 / np.sqrt(u1)
+        g[1, 4] = self.m_d - half_isu
+        np.negative(half_isu, out=g[2, 4])
+        if nf:
+            qx, qy = V[:nf, 0], V[:nf, 1]
+            qtx, qty, gx, gy, lam1_t, n_d, n_e = self.q_free
+            dbx, dby = qx - self.bx, qy - self.by
+            a = 2.0 + (self.s_b * self.e2) / np.sqrt(self.e4 + self.e2 * (dbx * dbx + dby * dby))
+            g[0, 0, :nf] = a * dbx
+            g[0, 1, :nf] = a * dby
+            dwx, dwy = 2.0 * (qx - self.wx), 2.0 * (qy - self.wy)
+            s = self._slack(qx, qy, qtx, qty, gx, gy, lam1_t)
+            t_d = -0.5 * self.k_w / np.sqrt(s)
+            t_e = -1.0 / (s + self.e_c)
+            g[1, 0, :nf] = n_d * dwx + t_d * gx
+            g[1, 1, :nf] = n_d * dwy + t_d * gy
+            g[2, 0, :nf] = n_e * dwx + t_e * gx
+            g[2, 1, :nf] = n_e * dwy + t_e * gy
+        return g.transpose(2, 0, 1)
 
     def hess(self, V):
-        h = np.zeros((self.m, self.k, self.k))
-        o = self._o
-        for c, h_cc in zip(self._curved, self._rest_hess(V[:, o:])):
-            h[:, o + c, o + c] = h_cc
-        if self.has_q:
-            h[:, 0:2, 0:2] = self._q_hess(V[:, 0:2])
-        return h
-
-
-class OutageAFamily(SlotFamily):
-    """Conservative outage inequality with optimal slacks and g1 substituted.
-
-    Row value: const + |q - bob|^2 + s_b sqrt(2 eps^4 + 2 eps^2 |q - bob|^2)
-               + C1 (1/P - 1/Pt) + C2 2^Rt expm1(ln2 (R - Rt)) <= 0,
-    with the bound slack's a_b eps^2 inside const. The square root is the
-    cone slack's norm: convex in q, and smooth because of the eps^4 term. The
-    two expansion-relative terms are kept in difference form: the raw
-    coefficients reach ~gamma0/(2^Rt - 1)^2, and evaluating them against a
-    separate constant would cancel ~1e10 against ~1e10 to produce a ~1e-4
-    residual. Columns: [qx, qy, P, R] when q is free, else [P, R].
-    """
-
-    _curved = (0, 1)
-
-    def __init__(self, idx, has_q, q_t, const, bob_est, eps2, s_b, c1, c2, p_t, r_t,
-                 name, row_labels):
-        self.bob = np.asarray(bob_est, dtype=float)
-        self.eps2 = float(eps2)
-        self.s_b = float(s_b)
-        self.c1 = np.asarray(c1, dtype=float)
-        self.c2rt = np.asarray(c2, dtype=float) * np.exp2(np.asarray(r_t, dtype=float))
-        self.p_t = np.asarray(p_t, dtype=float)
-        self.r_t = np.asarray(r_t, dtype=float)
-        super().__init__(idx, has_q, q_t, const, name, row_labels)
-
-    def _cone(self, Q):
-        d = Q - self.bob
-        s2 = 2.0 * self.eps2**2 + 2.0 * self.eps2 * np.sum(d * d, axis=1)
-        return d, s2, np.sqrt(s2)
-
-    def _q_value(self, Q):
-        d, _, rt = self._cone(Q)
-        return np.sum(d * d, axis=1) + self.s_b * rt
-
-    def _q_grad(self, Q):
-        d, _, rt = self._cone(Q)
-        return (2.0 + 2.0 * self.s_b * self.eps2 / rt)[:, None] * d
-
-    def _q_hess(self, Q):
-        d, s2, rt = self._cone(Q)
-        c = 2.0 * self.s_b * self.eps2 / rt
-        return ((2.0 + c)[:, None, None] * np.eye(2)
-                - (2.0 * self.eps2 * c / s2)[:, None, None] * np.einsum("mi,mj->mij", d, d))
-
-    def _rest_value(self, R):
-        p, r = R[:, 0], R[:, 1]
-        out = (self.c1 * (self.p_t - p) / (p * self.p_t)
-               + self.c2rt * np.expm1(math.log(2.0) * (r - self.r_t)))
-        # 1/p is only the convex branch for positive power
-        return np.where(p > 0.0, out, np.inf)
-
-    def _rest_grad(self, R):
-        p, r = R[:, 0], R[:, 1]
-        return np.stack([-self.c1 / (p * p),
-                         self.c2rt * math.log(2.0) * np.exp2(r - self.r_t)], axis=1)
-
-    def _rest_hess(self, R):
-        p, r = R[:, 0], R[:, 1]
-        return 2.0 * self.c1 / p**3, self.c2rt * math.log(2.0) ** 2 * np.exp2(r - self.r_t)
-
-
-class CovertFamily(SlotFamily):
-    """Covertness row with the tangent-bound slack at its optimum g5(q) + 1.
-
-    Row value: const + lin_p P + lin_u1 u1 - sqrt(u1)
-               + quad |q - willie|^2 / var + tail(g5(q) + 1).
-    g5(q) + 1 = lam_t + 1 + g5_grad . (q - q_t) is affine in q and tail is
-    convex and decreasing, so the row is convex. Columns [qx, qy, P, u1] when
-    q is free, else [P, u1]. Subclasses give tail and its derivatives.
-    """
-
-    _curved = (1,)
-
-    def __init__(self, idx, has_q, q_t, const, willie_est, var_w, quad, lin_p, lin_u1,
-                 name, row_labels):
-        self.willie = np.asarray(willie_est, dtype=float)
-        self.var_w = float(var_w)
-        self.quad = np.asarray(quad, dtype=float)
-        self.lin_p = np.asarray(lin_p, dtype=float)
-        self.lin_u1 = lin_u1
-        dw = np.asarray(q_t, dtype=float) - self.willie
-        self.g5_grad = (2.0 / self.var_w) * dw
-        self.lam1_t = np.sum(dw * dw, axis=1) / self.var_w + 1.0
-        super().__init__(idx, has_q, q_t, const, name, row_labels)
-
-    def _slack(self, Q):
-        return self.lam1_t + np.einsum("mi,mi->m", self.g5_grad, Q - self.q_t)
-
-    def _q_value(self, Q):
-        d = Q - self.willie
-        return self.quad * np.sum(d * d, axis=1) / self.var_w + self._tail(self._slack(Q))
-
-    def _q_grad(self, Q):
-        return ((2.0 * self.quad / self.var_w)[:, None] * (Q - self.willie)
-                + self._tail_d1(self._slack(Q))[:, None] * self.g5_grad)
-
-    def _q_hess(self, Q):
-        return ((2.0 * self.quad / self.var_w)[:, None, None] * np.eye(2)
-                + self._tail_d2(self._slack(Q))[:, None, None]
-                * np.einsum("mi,mj->mij", self.g5_grad, self.g5_grad))
-
-    def _rest_value(self, R):
-        p, u1 = R[:, 0], R[:, 1]
-        return self.lin_p * p + self.lin_u1 * u1 - np.sqrt(u1)
-
-    def _rest_grad(self, R):
-        return np.stack([self.lin_p, self.lin_u1 - 0.5 / np.sqrt(R[:, 1])], axis=1)
-
-    def _rest_hess(self, R):
-        return (0.25 * R[:, 1] ** -1.5,)
-
-
-class CovertDFamily(CovertFamily):
-    """sqrt(pi/2) g2 - sqrt(u1) + g3 - k_w sqrt(g5(q) + 1) <= 0."""
-
-    def __init__(self, *args, k_w, **kwargs):
-        self.k_w = float(k_w)
-        super().__init__(*args, **kwargs)
-
-    def _tail(self, s):
-        return -self.k_w * np.sqrt(s)
-
-    def _tail_d1(self, s):
-        return -0.5 * self.k_w / np.sqrt(s)
-
-    def _tail_d2(self, s):
-        return 0.25 * self.k_w * s**-1.5
-
-
-class CovertEFamily(CovertFamily):
-    """g4 - ln(g5(q) + 1 + 1 + H^2/var) - sqrt(u1) <= 0."""
-
-    def __init__(self, *args, e_c, **kwargs):
-        self.e_c = float(e_c)  # 1 + H^2/var
-        super().__init__(*args, **kwargs)
-
-    def _tail(self, s):
-        return -np.log(s + self.e_c)
-
-    def _tail_d1(self, s):
-        return -1.0 / (s + self.e_c)
-
-    def _tail_d2(self, s):
-        return (s + self.e_c) ** -2.0
-
-
-# ---------------------------------------------------------------------------
-# per-row view used by tests and diagnostics
-# ---------------------------------------------------------------------------
-
-class ResidualView:
-    """Scalar residual c(v) <= 0 with a dense-gradient callback.
-
-    Families carry per-row constants, so single rows are evaluated through
-    the whole family; this view is for tests and audits, not hot paths.
-    """
-
-    __slots__ = ("family", "row", "name", "n_var")
-
-    def __init__(self, family: ResidualFamily, row: int, n_var: int):
-        self.family = family
-        self.row = row
-        self.name = family.row_labels[row]
-        self.n_var = n_var
-
-    def value(self, v: np.ndarray) -> float:
-        V = self.family.gather(v)
-        return float(self.family.values(V)[self.row])
-
-    def grad(self, v: np.ndarray) -> np.ndarray:
-        V = self.family.gather(v)
-        g = np.zeros(self.n_var)
-        np.add.at(g, self.family.idx[self.row], self.family.grads(V)[self.row])
-        return g
+        nf = self.nf
+        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        h = np.zeros((3, 6, V.shape[0]))
+        h[0, 3] = (2.0 * self.c1) / (p * p * p)
+        h[0, 4] = (self.c2rt * _LN2**2) * np.exp2(r - self.r_t)
+        h[1, 5] = 0.25 / (u1 * np.sqrt(u1))
+        h[2, 5] = h[1, 5]
+        if nf:
+            qx, qy = V[:nf, 0], V[:nf, 1]
+            qtx, qty, gx, gy, lam1_t, n_d, n_e = self.q_free
+            dbx, dby = qx - self.bx, qy - self.by
+            s2 = self.e4 + self.e2 * (dbx * dbx + dby * dby)
+            c = (self.s_b * self.e2) / np.sqrt(s2)
+            kk = self.e2 * c / s2
+            h[0, 0, :nf] = 2.0 + c - kk * dbx * dbx
+            h[0, 1, :nf] = -kk * dbx * dby
+            h[0, 2, :nf] = 2.0 + c - kk * dby * dby
+            s = self._slack(qx, qy, qtx, qty, gx, gy, lam1_t)
+            t_d = 0.25 * self.k_w / (s * np.sqrt(s))
+            t_e = (s + self.e_c) ** -2.0
+            for row, n_q, t in ((1, n_d, t_d), (2, n_e, t_e)):
+                tx = t * gx
+                h[row, 0, :nf] = 2.0 * n_q + tx * gx
+                h[row, 1, :nf] = tx * gy
+                h[row, 2, :nf] = 2.0 * n_q + t * gy * gy
+        return h.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +574,6 @@ class ConvexSubproblem:
         for f in self.families:
             names.extend(f.row_labels)
         return names
-
-    def residuals(self) -> list[ResidualView]:
-        views: list[ResidualView] = []
-        for f in self.families:
-            views.extend(ResidualView(f, i, self.n_var) for i in range(f.m))
-        return views
-
-    def objective(self, v: np.ndarray) -> float:
-        return float(self.obj_coef @ v)
 
     def unpack(self, v: np.ndarray):
         """(trajectory, powers, rates, u1) of a subproblem point."""
@@ -803,25 +725,14 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     # --- mobility ---------------------------------------------------------
     cap_sq = (cfg.max_step_L * (1.0 + STEP_INFLATION)) ** 2
     if traj_free:
-        pair_idx, pair_lbl = [], []
-        anch_idx, anch_pts, anch_lbl = [], [], []
-        # step 0: q_init -> w0
-        anch_idx.append([lay.qx[0], lay.qy[0]])
-        anch_pts.append(cfg.q_init)
-        anch_lbl.append("mobility[step=0]")
-        for i in range(1, n - 1):
-            if lay.qx[i] >= 0:
-                pair_idx.append([lay.qx[i - 1], lay.qy[i - 1], lay.qx[i], lay.qy[i]])
-                pair_lbl.append(f"mobility[step={i}]")
-        # final step: w_{n-2} -> q_final
-        anch_idx.append([lay.qx[n - 2], lay.qy[n - 2]])
-        anch_pts.append(cfg.q_final)
-        anch_lbl.append(f"mobility[step={n - 1}]")
-        if pair_idx:
-            families.append(StepCapFamily(np.array(pair_idx), None, cap_sq,
-                                          "mobility", pair_lbl))
-        families.append(StepCapFamily(np.array(anch_idx), np.array(anch_pts),
-                                      cap_sq, "mobility_anchor", anch_lbl))
+        # step i flies w_{i-1} -> w_i, with w_{-1} = q_init and w_{n-1} = q_final fixed
+        prev_x, prev_y = np.append(-1, lay.qx[:-1]), np.append(-1, lay.qy[:-1])
+        ends = np.zeros((n, 4))
+        ends[0, 0:2] = cfg.q_init
+        ends[n - 1, 2:4] = cfg.q_final
+        families.append(StepCapFamily(
+            np.stack([prev_x, prev_y, lay.qx, lay.qy], axis=1), ends, cap_sq,
+            "mobility", [f"mobility[step={i}]" for i in range(n)]))
     else:
         # trajectory is constant: verify the steps obey the cap outright
         pts = np.vstack([cfg.q_init, q_t])
@@ -848,32 +759,17 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         row_labels=[f"{kind}[{i}]" for i in range(n) for kind in kinds],
     ))
 
-    # --- outage and covertness ------------------------------------------------
-    # one family per row type over the free-waypoint slots, and a "_fixed"
-    # one over the rest; outage A splits into this constant plus
-    # expansion-relative terms handled inside the family (see OutageAFamily)
-    base_a = 2.0 * eps2 + a_b * eps2 + h2 - c0
-    d_const = c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t
+    # --- outage and covertness, three rows per slot ---------------------------
+    # outage A splits into this constant plus expansion-relative terms handled
+    # inside the family (see SlotFamily)
+    families.append(SlotFamily(
+        np.stack([lay.qx, lay.qy, lay.p, lay.r, lay.u1], axis=1), fixed_w,
+        c_a=2.0 * eps2 + a_b * eps2 + h2 - c0,
+        c_d=c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t, c_e=g4_const,
+        bob_est=cfg.bob_est, eps2=eps2, s_b=s_b, c1=c1, c2=c2, p_t=p_t, r_t=r_t, q_t=q_t,
+        willie_est=cfg.willie_est, var_w=var_w, quad_d=a2, quad_e=inv_denom,
+        lin_p_d=b1, lin_p_e=gp, lin_u1_d=a1, k_w=k_w, e_c=1.0 + h2v))
     free = lay.qx >= 0
-    for sl, has_q, suffix in ((np.nonzero(free)[0], True, ""),
-                              (np.nonzero(~free)[0], False, "_fixed")):
-        if not sl.size:
-            continue
-        q_cols = [lay.qx[sl], lay.qy[sl]] if has_q else []
-        families.append(OutageAFamily(
-            np.stack(q_cols + [lay.p[sl], lay.r[sl]], axis=1), has_q, q_t[sl],
-            base_a[sl], bob_est=cfg.bob_est, eps2=eps2, s_b=s_b,
-            c1=c1[sl], c2=c2[sl], p_t=p_t[sl], r_t=r_t[sl],
-            name="outage_A" + suffix, row_labels=[f"outage_A[{i}]" for i in sl]))
-        idx = np.stack(q_cols + [lay.p[sl], lay.u1[sl]], axis=1)
-        families.append(CovertDFamily(
-            idx, has_q, q_t[sl], d_const[sl], cfg.willie_est, var_w,
-            quad=a2[sl], lin_p=b1[sl], lin_u1=a1[sl], k_w=k_w,
-            name="covert_D" + suffix, row_labels=[f"covert_D[{i}]" for i in sl]))
-        families.append(CovertEFamily(
-            idx, has_q, q_t[sl], g4_const[sl], cfg.willie_est, var_w,
-            quad=inv_denom[sl], lin_p=gp[sl], lin_u1=0.0, e_c=1.0 + h2v,
-            name="covert_E" + suffix, row_labels=[f"covert_E[{i}]" for i in sl]))
 
     # --- objective, start, scales ------------------------------------------
     obj = np.zeros(lay.n_var)

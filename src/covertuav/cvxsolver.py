@@ -2,7 +2,8 @@
 
 Solves   minimize  c . v   subject to  c_i(v) <= 0
 with every c_i smooth and convex, supplied as vectorized residual families
-carrying analytic gradients and Hessian blocks (see convexify.ResidualFamily).
+carrying analytic gradients and the Hessian entries of a declared pattern
+(see convexify.ResidualFamily).
 This matches the subproblems assembled here: a few thousand variables,
 residuals touching only a handful of variables each, plus one dense linear
 budget row.
@@ -38,11 +39,14 @@ Every Newton system is one banded Cholesky solve plus a Woodbury correction
 for the linear rows wider than the band, which keeps the cost per step linear
 in the number of slots. The band is as wide as the widest nonlinear
 residual's variable span (a dense nonlinear row makes it a dense Cholesky), or
-as a linear family of span w and r rows with w^2 <= r. Gradient and Hessian
-entries are scattered with one precomputed index per solve, and what does not
-change within a solve is built once: the linear families' scaled gradients
-and G G^T entries, and the scaled constant Hessians. Other nonlinear Hessians
-contribute only on the nonzero pattern their family declares.
+as a linear family of span w and r rows with w^2 <= r. A family's rows come
+in blocks over the same variables (the slot family's three rows per slot),
+so G G^T is summed per block and the Hessian enters only at its pattern
+entries, never as full blocks. All gradient entries sit in one flat array,
+so G^T w and G p are one scatter each; band entries are scattered with one
+precomputed index per solve, and what does not change within a solve is
+built once: the linear families' scaled gradients, G G^T entries and dyad
+columns.
 
 A solve that cannot go on, because the Newton matrix does not factor, no
 trial within max_backtracks is acceptable or the Newton decrement is not
@@ -136,98 +140,146 @@ def residual_values(families, v: np.ndarray) -> np.ndarray:
 
 class _Work:
     """Band layout, scatter indices, scaled views and the per-solve constants
-    of one problem instance. Everything here lives as long as one solve."""
+    of one problem instance. Everything here lives as long as one solve.
+
+    Per-family arrays put the block axis last, (rows, k, blocks) for
+    gradients, so that each operation runs over long contiguous rows.
+    """
 
     def __init__(self, problem):
         self.families = list(problem.families)
         self.scale = np.asarray(problem.var_scale, dtype=float)
-        self.d = self.scale.size
+        self.d = d = self.scale.size
         self.c_w = np.asarray(problem.obj_coef, dtype=float) * self.scale
         self.m = sum(f.m for f in self.families)
         ends = np.cumsum([f.m for f in self.families])
         self.rows = [slice(e - f.m, e) for f, e in zip(self.families, ends)]
 
+        # a constant column (negative index) has scale 0, so its gradient and
+        # Newton entries vanish, and its scatter entries go to a trailing bin
+        # that is dropped after the scatter
+        live = [fi for fi, f in enumerate(self.families) if f.m]
+        self.s_gath = [np.where(f.idx >= 0, self.scale[f.idx], 0.0).T[None]
+                       for f in self.families]
         # the band is as wide as the widest nonlinear row, or as a linear
         # family of span w and r rows with w^2 <= r (widening the band costs
         # about d w^2, dyads about d r); wider linear rows become low-rank
         # dyad corrections
-        live = [fi for fi, f in enumerate(self.families) if f.m]
-        span = {fi: int((self.families[fi].idx.max(axis=1)
-                         - self.families[fi].idx.min(axis=1)).max()) for fi in live}
+        span = {}
+        for fi in live:
+            idx = self.families[fi].idx
+            span[fi] = int((idx.max(axis=1) - np.where(idx >= 0, idx, d).min(axis=1)).max())
         band = max((span[fi] for fi in live if not self.families[fi].is_linear
                     or span[fi] ** 2 <= self.families[fi].m), default=0)
         self.wide = {fi for fi in live if span[fi] > band}
         self.band = band
         self.live = live
-        self.s_gath = [self.scale[f.idx] for f in self.families]
         # line-search trials test the cheap linear rows first
         self.trial_order = ([fi for fi in live if self.families[fi].is_linear]
                             + [fi for fi in live if not self.families[fi].is_linear])
 
-        # gradient weights: c_w, then each family's (m, k) rows; one scatter
-        # index per solve, and np.bincount adds its weights in index order,
-        # the order np.add.at would take them family by family
-        self.grad_index = np.concatenate(
-            [np.arange(self.d)] + [self.families[fi].idx.ravel() for fi in live])
-        self.grad_w = np.empty(self.grad_index.size)
-        self.grad_w[:self.d] = self.c_w
-        self.grad_rows, pos = {}, self.d
+        # every gradient entry of every family in one flat array, each
+        # family's (rows, k, blocks) in turn, with the variable and the row
+        # of each entry: G p and G^T w are then one gather and one
+        # np.bincount each, whatever the number of families
+        var, row, self.g_rows, pos = [], [], {}, 0
         for fi in live:
             f = self.families[fi]
-            self.grad_rows[fi] = self.grad_w[pos:pos + f.m * f.k].reshape(f.m, f.k)
+            shape = (f.rows, f.k, f.idx.shape[0])
+            var.append(np.broadcast_to(np.where(f.idx >= 0, f.idx, d).T, shape).ravel())
+            first = self.rows[fi].start + np.arange(f.m).reshape(-1, f.rows).T
+            row.append(np.broadcast_to(first[:, None, :], shape).ravel())
+            self.g_rows[fi] = (pos, shape)
             pos += f.m * f.k
+        self.g_all = np.empty(pos)
+        self.entry_row = np.concatenate(row) if row else np.zeros(0, dtype=np.int64)
+        # gradient weights: c_w, then the weighted entries; one scatter index
+        # per solve, and np.bincount adds its weights in index order
+        self.grad_index = np.concatenate([np.arange(d)] + var)
+        self.grad_w = np.empty(self.grad_index.size)
+        self.grad_w[:d] = self.c_w
 
-        # band weights, family by family, only at the local (i, j) entries
-        # that land in upper band storage (idx_i <= idx_j) in some row, in
-        # row-major order; where a row's entry does not, it goes to one
-        # trailing bin that is dropped after the scatter. Per-solve constants:
-        # the scaled gradient rows of the linear families and their G G^T
-        # entries; the kept entries of each nonlinear Hessian's nonzero
-        # pattern, scaled once when the Hessian is constant.
-        self.g_lin, self.gg_lin, self.h_pairs, self.h_pat, self.h_const = {}, {}, {}, {}, {}
+        # band weights, family by family, one entry per local pair (i, j),
+        # i <= j, and block: first the declared Hessian pattern, then the
+        # other pairs of columns that name a variable in some row. Each lands
+        # in upper band storage at (min, max) of its two indices, or in the
+        # dropped bin when one is constant. Per-solve constants: the scaled
+        # gradients of the linear families and their G G^T entries, and the
+        # scale products of each Hessian pattern.
+        self.hess_size = (band + 1) * d
+        self.g_lin, self.gg_lin, self.h_pairs, self.h_scale, self.dyads = {}, {}, {}, {}, {}
+        self.h_kept = {}
         hess_parts, pos = [np.zeros(0, dtype=np.int64)], 0
         for fi in live:
-            f, s = self.families[fi], self.s_gath[fi]
+            f, s = self.families[fi], self.s_gath[fi][0]
             if f.is_linear:
-                self.g_lin[fi] = f.grads(np.zeros((f.m, f.k))) * s
+                self.g_lin[fi] = self.family_grads(fi)
+                self.g_lin[fi][...] = _by_block(f.grads(np.zeros(f.idx.shape)), f) * s
             if fi in self.wide:
-                continue  # low-rank dyads, not band entries
-            keep = f.idx[:, :, None] <= f.idx[:, None, :]
-            P, Q = np.nonzero(keep.any(axis=0))
-            ii, jj = f.idx[:, P], f.idx[:, Q]
-            hess_parts.append(np.where(keep[:, P, Q], (band + ii - jj) * self.d + jj,
-                                       (band + 1) * self.d).ravel())
-            self.h_pairs[fi] = (P, Q, slice(pos, pos + f.m * P.size))
-            pos += f.m * P.size
-            if f.is_linear:
-                self.gg_lin[fi] = self.g_lin[fi][:, P] * self.g_lin[fi][:, Q]
+                # low-rank dyads, not band entries: one dense column per row
+                self.dyads[fi] = np.zeros((d, f.m))
+                self.dyads[fi][f.idx, np.arange(f.m)[:, None]] = self.g_lin[fi][0].T
                 continue
-            at = {pq: n for n, pq in enumerate(zip(P.tolist(), Q.tolist()))}
-            kept = [pq for pq in (f.hess_pattern or at) if pq in at]
-            pi = np.array([i for i, _ in kept], dtype=np.int64)
-            pj = np.array([j for _, j in kept], dtype=np.int64)
-            self.h_pat[fi] = (np.array([at[pq] for pq in kept], dtype=np.int64),
-                              pi, pj, s[:, pi], s[:, pj])
-            if f.hess_constant:
-                self.h_const[fi] = f.hess(np.zeros((f.m, f.k)))[:, pi, pj] * s[:, pi] * s[:, pj]
+            cols = np.nonzero((f.idx >= 0).any(axis=0))[0].tolist()
+            # pattern entries between columns that are constant in every
+            # block (STP's waypoint) would only ever reach the dropped bin
+            kept = [n for n, (i, j) in enumerate(f.hess_pattern) if i in cols and j in cols]
+            if len(kept) < len(f.hess_pattern):
+                self.h_kept[fi] = np.array(kept, dtype=np.int64)
+            pattern = [f.hess_pattern[n] for n in kept]
+            pairs = pattern + [(i, j) for i in cols for j in cols
+                               if i <= j and (i, j) not in pattern]
+            P = np.array([i for i, _ in pairs], dtype=np.int64)
+            Q = np.array([j for _, j in pairs], dtype=np.int64)
+            ii, jj = f.idx[:, P].T, f.idx[:, Q].T
+            hess_parts.append(np.where(
+                (ii >= 0) & (jj >= 0),
+                (band + np.minimum(ii, jj) - np.maximum(ii, jj)) * d + np.maximum(ii, jj),
+                self.hess_size).ravel())
+            self.h_pairs[fi] = (P, Q, len(pattern), slice(pos, pos + ii.size))
+            pos += ii.size
+            if f.is_linear:
+                g = self.g_lin[fi]
+                self.gg_lin[fi] = g[:, P] * g[:, Q]
+            else:
+                n_pat = len(pattern)
+                self.h_scale[fi] = s[P[:n_pat]] * s[Q[:n_pat]]
         self.hess_index = np.concatenate(hess_parts)
         self.hess_w = np.empty(pos)
-        self.hess_size = (band + 1) * self.d
 
     def values(self, v: np.ndarray) -> np.ndarray:
         return residual_values(self.families, v)
 
-    def gradient(self) -> np.ndarray:
-        """c_w plus the gradient rows written to grad_rows, scattered in one pass."""
-        return np.bincount(self.grad_index, self.grad_w, minlength=self.d)
+    def family_grads(self, fi: int) -> np.ndarray:
+        """Family fi's (rows, k, blocks) view of g_all."""
+        pos, shape = self.g_rows[fi]
+        return self.g_all[pos:pos + math.prod(shape)].reshape(shape)
+
+    def gradient(self, weights: np.ndarray) -> np.ndarray:
+        """c_w + sum_i weights_i grad c_i in scaled coordinates, G at the last
+        pieces' point: the barrier gradient for weights mu / s, the
+        Lagrangian's for weights lam."""
+        np.multiply(self.g_all, weights[self.entry_row], out=self.grad_w[self.d:])
+        return np.bincount(self.grad_index, self.grad_w, minlength=self.d + 1)[:self.d]
+
+    def directional(self, p: np.ndarray) -> np.ndarray:
+        """G p: each row's derivative along p, over the entries in g_all."""
+        along = self.g_all * np.append(p, 0.0)[self.grad_index[self.d:]]
+        return np.bincount(self.entry_row, along, minlength=self.m)
 
     def hessian(self) -> np.ndarray:
         """Upper band storage (band + 1, d) of the weights written to hess_w."""
-        flat = np.bincount(self.hess_index, self.hess_w, minlength=self.hess_size)
+        flat = np.bincount(self.hess_index, self.hess_w, minlength=self.hess_size + 1)
         return flat[:self.hess_size].reshape(self.band + 1, self.d)
 
     def objective_w(self, v: np.ndarray) -> float:
         return float(self.c_w @ (v / self.scale))
+
+
+def _by_block(x: np.ndarray, f) -> np.ndarray:
+    """A family's (blocks, rows, n) output, or (blocks, n) with one row per
+    block, as a (rows, n, blocks) view."""
+    return x.reshape(f.idx.shape[0], f.rows, -1).transpose(1, 2, 0)
 
 
 def _trial_values(work: _Work, v: np.ndarray) -> np.ndarray | None:
@@ -242,7 +294,7 @@ def _trial_values(work: _Work, v: np.ndarray) -> np.ndarray | None:
     for fi in work.trial_order:
         f = work.families[fi]
         vals = f.values(v[f.idx])
-        if not np.max(vals) < 0.0:
+        if not vals.max() < 0.0:
             return None
         out[work.rows[fi]] = vals
     return out
@@ -250,8 +302,9 @@ def _trial_values(work: _Work, v: np.ndarray) -> np.ndarray | None:
 
 def _pieces(work: _Work, v: np.ndarray, vals: np.ndarray, lam: np.ndarray):
     """Per-family Newton pieces at an interior v: (fi, V, s, G_w, lam) with
-    s = -c the slacks, G_w the gradient rows in scaled coordinates and lam
-    the duals of the family's rows."""
+    s = -c the slacks and lam the duals of the family's rows, both shaped
+    (rows, blocks), and G_w the (rows, k, blocks) gradients in scaled
+    coordinates, written to work.g_all (so valid until the next call)."""
     pieces = []
     for fi in work.live:
         f = work.families[fi]
@@ -259,17 +312,11 @@ def _pieces(work: _Work, v: np.ndarray, vals: np.ndarray, lam: np.ndarray):
         V = v[f.idx]
         G_w = work.g_lin.get(fi)
         if G_w is None:
-            G_w = f.grads(V) * work.s_gath[fi]
-        pieces.append((fi, V, -vals[rows], G_w, lam[rows]))
+            G_w = np.multiply(_by_block(f.grads(V), f), work.s_gath[fi],
+                              out=work.family_grads(fi))
+        pieces.append((fi, V, -vals[rows].reshape(-1, f.rows).T, G_w,
+                       lam[rows].reshape(-1, f.rows).T))
     return pieces
-
-
-def _gradient(work: _Work, pieces, weights: np.ndarray) -> np.ndarray:
-    """c_w + sum_i weights_i grad c_i in scaled coordinates: the barrier
-    gradient for weights mu / s, the Lagrangian's for weights lam."""
-    for fi, _, _, G_w, _ in pieces:
-        np.multiply(G_w, weights[work.rows[fi], None], out=work.grad_rows[fi])
-    return work.gradient()
 
 
 def _phi(work: _Work, v: np.ndarray, mu: float, vals=None) -> float:
@@ -279,31 +326,47 @@ def _phi(work: _Work, v: np.ndarray, mu: float, vals=None) -> float:
         vals = _trial_values(work, v)
         if vals is None:
             return math.inf
-    return work.objective_w(v) - mu * float(np.sum(np.log(-vals)))
+    return work.objective_w(v) - mu * float(np.log(-vals).sum())
+
+
+def _row_sum(w: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    """out = sum over rows r of w[r] * X[r], for w (rows, blocks) and X
+    (rows, n, blocks)."""
+    if len(w) == 1:
+        np.multiply(w[0], X[0], out=out)
+    else:
+        np.einsum("rb,rnb->nb", w, X, out=out)
 
 
 def _band_weights(work: _Work, fi: int, V, s, G_w, lam) -> None:
     """Write one family's Newton-matrix entries (scaled coordinates) to hess_w.
 
-    (lam / s) G G^T at the kept entries, plus lam (H s_i) s_j on the kept
-    entries of the Hessian's nonzero pattern: the same sums as over the
-    whole (m, k, k) block.
+    Per block, the sum over its rows of (lam / s) G G^T at the family's
+    pairs, plus lam (H s_i) s_j on the Hessian pattern, which leads the
+    pairs.
     """
-    P, Q, sl = work.h_pairs[fi]
-    out = work.hess_w[sl].reshape(s.size, P.size)
-    coef = (lam / s)[:, None]
+    P, Q, n_pat, sl = work.h_pairs[fi]
+    out = work.hess_w[sl].reshape(P.size, -1)
+    coef = lam / s
     GG = work.gg_lin.get(fi)
     if GG is None:
-        np.multiply(G_w[:, P], G_w[:, Q], out=out)
-        out *= coef
+        # row by row: a rows x pairs x blocks temporary passes 128 KB at 600
+        # slots, and allocating it then costs more than filling it
+        np.multiply(G_w[0, P], G_w[0, Q], out=out)
+        out *= coef[0]
+        for r in range(1, len(coef)):
+            out += coef[r] * G_w[r, P] * G_w[r, Q]
     else:
-        np.multiply(coef, GG, out=out)
-    if fi in work.h_pat:
-        at, pi, pj, s_i, s_j = work.h_pat[fi]
-        h = work.h_const.get(fi)
-        if h is None:
-            h = work.families[fi].hess(V)[:, pi, pj] * s_i * s_j
-        out[:, at] += h * lam[:, None]
+        _row_sum(coef, GG, out)
+    if n_pat:
+        f = work.families[fi]
+        h = np.empty((n_pat, s.shape[1]))
+        H = _by_block(f.hess(V), f)
+        if fi in work.h_kept:
+            H = H[:, work.h_kept[fi]]
+        _row_sum(lam, H, h)
+        h *= work.h_scale[fi]
+        out[:n_pat] += h
 
 
 def _newton_banded(work: _Work, pieces, g: np.ndarray) -> np.ndarray:
@@ -316,35 +379,27 @@ def _newton_banded(work: _Work, pieces, g: np.ndarray) -> np.ndarray:
     """
     dyad_cols = []
     for piece in pieces:
-        fi, _, s, G_w, lam = piece
-        if fi not in work.wide:
+        fi, _, s, _, lam = piece
+        if fi in work.wide:
+            dyad_cols.append(work.dyads[fi] * np.sqrt(lam / s)[0])
+        else:
             _band_weights(work, *piece)
-            continue
-        f = work.families[fi]
-        coef = np.sqrt(lam / s)
-        for r in range(f.m):
-            a = np.zeros(work.d)
-            a[f.idx[r]] = coef[r] * G_w[r]
-            dyad_cols.append(a)
     ab = work.hessian()
     if not dyad_cols:
         return sla.solveh_banded(ab, -g, lower=False)
-    A = np.stack(dyad_cols, axis=1)
+    A = np.hstack(dyad_cols)
     X = sla.solveh_banded(ab, np.column_stack([-g, A]), lower=False)
     x0, Y = X[:, 0], X[:, 1:]
     Mk = np.eye(A.shape[1]) + A.T @ Y
     return x0 - Y @ np.linalg.solve(Mk, A.T @ x0)
 
 
-def _dual_step(work: _Work, pieces, p: np.ndarray, mu: float) -> np.ndarray:
+def _dual_step(work: _Work, lam: np.ndarray, s: np.ndarray, p: np.ndarray,
+               mu: float) -> np.ndarray:
     """Newton step of the duals, dlam = -lam + mu / s + lam (G p) / s, where
-    G p is each row's directional derivative along the scaled step p."""
-    dlam = np.empty(work.m)
-    for fi, _, s, G_w, lam in pieces:
-        f = work.families[fi]
-        Gp = np.einsum("ij,ij->i", G_w, p[f.idx])
-        dlam[work.rows[fi]] = (mu + lam * Gp) / s - lam
-    return dlam
+    G p is each row's directional derivative along the scaled step p (G at
+    the last pieces' point)."""
+    return (mu + lam * work.directional(p)) / s - lam
 
 
 def _clip_duals(lam: np.ndarray, s: np.ndarray, mu: float) -> np.ndarray:
@@ -364,8 +419,8 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
     while True:
         s = -vals
         pieces = _pieces(work, v, vals, lam)
-        r_dual = _gradient(work, pieces, lam)
-        dual_inf = float(np.max(np.abs(r_dual)))
+        r_dual = work.gradient(lam)
+        dual_inf = float(np.abs(r_dual).max())
         if (float(lam @ s) <= _gap_target(work, v, settings)
                 and dual_inf <= dual_tol):
             status, message = "optimal", ""
@@ -376,10 +431,10 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
         # keep it from at the smallest mu
         comp = lam * s
         while (dual_inf <= max(KAPPA_EPS * mu * cw_norm, dual_tol)
-               and float(np.max(np.abs(comp - mu))) <= KAPPA_EPS * mu):
+               and float(np.abs(comp - mu).max()) <= KAPPA_EPS * mu):
             mu *= settings.barrier_shrink
             phi0 = None
-        g = _gradient(work, pieces, mu / s)
+        g = work.gradient(mu / s)
         try:
             p = _newton_banded(work, pieces, g)
         except np.linalg.LinAlgError:
@@ -417,7 +472,7 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
                        f"backtracks at mu {mu:.3g}")
             break
         # duals: fraction-to-boundary step, then back near the central path
-        dlam = _dual_step(work, pieces, p, mu)
+        dlam = _dual_step(work, lam, s, p, mu)
         shrinking = dlam < 0.0
         alpha = float(np.min(-TAU * lam[shrinking] / dlam[shrinking], initial=1.0))
         v, vals, phi0 = cand, cand_vals, phi1
@@ -497,10 +552,12 @@ def check_kkt(problem, point: np.ndarray, duals: np.ndarray | None = None,
     J = np.zeros((m, d))
     pos = 0
     for f in problem.families:
-        G = f.grads(v[f.idx]) * scale[f.idx]
-        for r in range(f.m):
-            np.add.at(J[pos + r], f.idx[r], G[r])
-        pos += f.m
+        G = f.grads(v[f.idx]).reshape(-1, f.rows, f.k) * scale[f.idx][:, None, :]
+        for blk, idx in enumerate(f.idx):
+            var = idx >= 0
+            for r in range(f.rows):
+                np.add.at(J[pos + r], idx[var], G[blk, r, var])
+            pos += f.rows
     g0 = np.asarray(problem.obj_coef, dtype=float) * scale
 
     if duals is None:

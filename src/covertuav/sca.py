@@ -64,14 +64,36 @@ class ScaSettings:
     max_outer: int = 100
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """What one subproblem solve did, in scalars only, so that reruns give
+    the same records."""
+
+    newton_steps: int
+    backtracks: int
+    merit_evals: int
+    gap: float             # duality gap at exit
+    dual_residual: float   # inf-norm of the Lagrangian gradient, scaled variables
+    status: str
+
+    @classmethod
+    def of(cls, res: cvxsolver.SolverResult) -> "SolveRecord":
+        return cls(newton_steps=res.iterations, backtracks=res.backtracks,
+                   merit_evals=res.merit_evals, gap=res.gap,
+                   dual_residual=res.kkt.stationarity, status=res.status)
+
+
 @dataclass
 class ScaTrace:
-    """Objective history and the expansion points the loop visited."""
+    """Objective history, the expansion points the loop visited and one
+    record per subproblem solve; objectives[i] for i >= 1 is the outcome of
+    solves[i - 1]."""
 
     objectives: list
     expansion_points: list
     stop_reason: str
     subproblem_solves: int
+    solves: list
 
 
 @dataclass
@@ -324,20 +346,20 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
 
     objectives = [exp.r_tilde.mean]
     points = [exp]
-    solves = 0
+    records = []
     duals = None  # the last solve's, to warm-start the next
     reason = "outer_iteration_cap"
     for _ in range(settings.max_outer):
         try:
             sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed_trajectory)
         except InfeasibleExpansionError as exc:
-            if solves == 0:
+            if not records:
                 raise InfeasibleScenarioError(
                     f"initial point rejected by the subproblem: {exc}") from exc
             reason = "expansion_rejected"
             break
         res = cvxsolver.solve(sub, settings=settings.solver, duals=duals)
-        solves += 1
+        records.append(SolveRecord.of(res))
         duals = res.duals
         traj, powers, rates, u1 = sub.unpack(res.variables)
         if res.status in _SOLVE_STOPS and rates.mean < objectives[-1]:
@@ -370,7 +392,8 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
         objectives=objectives,
         expansion_points=points,
         stop_reason=reason,
-        subproblem_solves=solves,
+        subproblem_solves=len(records),
+        solves=records,
     )
     return plan, trace
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -62,6 +63,11 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert rows[0]["iter"] == "0"
         assert float(rows[-1]["actr_bps_hz"]) == pytest.approx(plan["actr_bps_hz"], rel=1e-9)
+        # each solve's Newton steps and dual residual, none before the first
+        assert rows[0]["newton_steps"] == rows[0]["dual_residual"] == ""
+        assert len(rows) == plan["subproblem_solves"] + 1
+        assert all(int(r["newton_steps"]) > 0 for r in rows[1:])
+        assert all(0.0 <= float(r["dual_residual"]) < math.inf for r in rows[1:])
         val = json.loads((out / "validation.json").read_text())
         assert val["passed"] is True
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertuav.convexify import (
     ConvexSubproblem,
@@ -21,6 +23,7 @@ from covertuav.convexify import (
 from covertuav.detection import DetectionModel, lambda_of, xi_lower_bound
 from covertuav.scenario import PowerSchedule
 from covertuav.sca import initial_point
+from test_cvxsolver import expand_hessians
 
 
 @pytest.fixture(scope="module")
@@ -284,16 +287,18 @@ class TestAssembledSubproblem:
         # final waypoint eliminated: 5 scalars (qx, qy, p, r, u1) for n-1
         # slots, 3 for the last
         assert sub.n_var == 5 * n - 2
+        # four families: every step (the first and last against a fixed
+        # end), the budget, the simple bounds and three rows per slot
         by_name = {f.name: f.m for f in sub.families}
-        assert by_name["mobility"] == n - 2          # interior steps
-        assert by_name["mobility_anchor"] == 2       # first and last steps
-        assert by_name["power_avg"] == 1
-        assert by_name["bounds"] == 4 * n
-        assert by_name["outage_A"] + by_name.get("outage_A_fixed", 0) == n
-        assert by_name["covert_D"] + by_name.get("covert_D_fixed", 0) == n
-        assert by_name["covert_E"] + by_name.get("covert_E_fixed", 0) == n
-        assert not any(name.startswith(("outage_B", "covert_F")) for name in by_name)
-        assert sub.n_constraints == (n - 2) + 2 + 1 + 4 * n + 3 * n
+        assert by_name == {"mobility": n, "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
+        slot = sub.families[-1]
+        assert slot.row_labels[:6] == ["outage_A[0]", "covert_D[0]", "covert_E[0]",
+                                       "outage_A[1]", "covert_D[1]", "covert_E[1]"]
+        assert slot.row_labels[-1] == f"covert_E[{n - 1}]"
+        assert sub.n_constraints == n + 1 + 4 * n + 3 * n
+        stp = assemble_subproblem(sub.expansion, cfg, fixed_trajectory=True)
+        assert {f.name: f.m for f in stp.families} == {
+            "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
 
     def test_bound_rows_in_slot_order(self, cfg, sub):
         # four rows per slot, slot by slot: peak power, power floor, rate
@@ -328,20 +333,20 @@ class TestAssembledSubproblem:
             if fam.is_linear:
                 continue
             V0 = fam.gather(v)
-            rows = rng.choice(fam.m, size=min(3, fam.m), replace=False)
-            for row in rows:
-                grad = fam.grads(V0)[row]
-                for col in range(fam.k):
-                    h = 1e-6 * max(abs(V0[row, col]), 1e-9)
+            blocks = rng.choice(len(V0), size=min(3, len(V0)), replace=False)
+            for blk in blocks:
+                grad = fam.grads(V0).reshape(len(V0), fam.rows, fam.k)[blk]
+                for col in np.nonzero(fam.idx[blk] >= 0)[0]:
+                    h = 1e-6 * max(abs(V0[blk, col]), 1e-9)
 
                     def f(x):
                         W = V0.copy()
-                        W[row, col] = x
-                        return float(fam.values(W)[row])
+                        W[blk, col] = x
+                        return fam.values(W).reshape(len(V0), fam.rows)[blk]
 
-                    num = central_diff(f, V0[row, col], h)
-                    assert grad[col] == pytest.approx(num, rel=1e-4, abs=1e-6), \
-                        f"{fam.name} row {row} col {col}"
+                    num = central_diff(f, V0[blk, col], h)
+                    assert grad[:, col] == pytest.approx(num, rel=1e-4, abs=1e-6), \
+                        f"{fam.name} block {blk} col {col}"
 
     def test_family_hessians_match_finite_differences(self, sub, rng):
         v = sub.start.copy()
@@ -349,42 +354,42 @@ class TestAssembledSubproblem:
             if fam.is_linear:
                 continue
             V0 = fam.gather(v)
-            row = int(rng.integers(fam.m))
-            H = fam.hess(V0)[row]
-            for col in range(fam.k):
-                h = 1e-6 * max(abs(V0[row, col]), 1e-9)
+            blk = int(rng.integers(len(V0)))
+            H = expand_hessians(fam, V0)[blk]
+            for col in np.nonzero(fam.idx[blk] >= 0)[0]:
+                h = 1e-6 * max(abs(V0[blk, col]), 1e-9)
 
                 def grad_col(x):
                     W = V0.copy()
-                    W[row, col] = x
-                    return fam.grads(W)[row]
+                    W[blk, col] = x
+                    return fam.grads(W).reshape(len(V0), fam.rows, fam.k)[blk]
 
-                num = (grad_col(V0[row, col] + h) - grad_col(V0[row, col] - h)) / (2 * h)
-                scale = np.maximum(np.abs(H[:, col]), np.abs(num)) + 1e-9
-                assert np.all(np.abs(H[:, col] - num) <= 1e-4 * scale + 1e-6), \
-                    f"{fam.name} row {row} col {col}"
+                num = (grad_col(V0[blk, col] + h) - grad_col(V0[blk, col] - h)) / (2 * h)
+                scale = np.maximum(np.abs(H[:, :, col]), np.abs(num)) + 1e-9
+                live = fam.idx[blk] >= 0
+                assert np.all((np.abs(H[:, :, col] - num) <= 1e-4 * scale + 1e-6)[:, live]), \
+                    f"{fam.name} block {blk} col {col}"
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_hessian_declarations_hold(self, cfg, rng, fixed):
-        # the solver adds Hessian entries only on the declared pattern and
-        # builds constant Hessians once per solve
+        # hess returns the entries of the declared upper pattern, one per row
+        # and pattern entry, and every entry between variables (not fixed
+        # waypoints) is nonzero somewhere; that entries off the pattern vanish
+        # is the finite-difference tests' job
         sub = assemble_subproblem(initial_point(cfg), cfg, fixed_trajectory=fixed)
         v = sub.start
-        lay = sub.layout
-        q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
-        w = v * np.exp(rng.normal(0, 0.2, v.size))
-        w[q_cols] = v[q_cols] + rng.normal(0, 2.0, q_cols.size)
         for fam in sub.families:
             if fam.is_linear or fam.m == 0:
                 continue
-            H = fam.hess(fam.gather(v))
-            off = np.ones((fam.k, fam.k), dtype=bool)
-            for i, j in fam.hess_pattern:
-                off[i, j] = False
-            assert np.all(H[:, off] == 0.0), fam.name
-            assert np.any(H[:, ~off] != 0.0), fam.name
-            if fam.hess_constant:
-                assert np.array_equal(fam.hess(fam.gather(w)), H), fam.name
+            assert all(0 <= i <= j < fam.k for i, j in fam.hess_pattern), fam.name
+            assert len(set(fam.hess_pattern)) == len(fam.hess_pattern), fam.name
+            V = fam.gather(v)
+            h = np.asarray(fam.hess(V)).reshape(len(V), fam.rows, len(fam.hess_pattern))
+            live = (fam.idx >= 0)[:, None, :]
+            for n, (i, j) in enumerate(fam.hess_pattern):
+                on = np.broadcast_to(live[..., i] & live[..., j], h.shape[:2])
+                assert not on.any() or np.any(on & (h[..., n] != 0.0)), \
+                    (fam.name, i, j)
 
     def test_residual_midpoint_convexity(self, sub, rng):
         # random midpoint checks per family on in-domain perturbations of the
@@ -418,14 +423,6 @@ class TestAssembledSubproblem:
                 tol = 1e-9 * (1.0 + np.abs(fa[mask]) + np.abs(fb[mask]))
                 assert np.all(gap <= tol), fam.name
             assert checked >= 10, f"not enough in-domain samples for {fam.name}"
-
-    def test_residual_views_match_families(self, sub, rng):
-        v = sub.start * (1.0 + 1e-3)
-        views = sub.residuals()
-        all_vals = sub.eval_values(v)
-        assert len(views) == sub.n_constraints
-        for i in rng.choice(len(views), size=40, replace=False):
-            assert views[i].value(v) == pytest.approx(all_vals[i], rel=1e-12, abs=1e-12)
 
     def test_unpack_round_trip(self, cfg, sub):
         traj, powers, rates, u1 = sub.unpack(sub.start)
@@ -481,8 +478,45 @@ class TestStpAssembly:
         n = cfg.num_slots_N
         assert sub.n_var == 3 * n
         names = {f.name for f in sub.families}
-        assert "mobility" not in names and "mobility_anchor" not in names
+        assert "mobility" not in names
         assert float(np.max(sub.eval_values(sub.start))) < 0.0
+
+
+def slack_oracle_rows(sub, v):
+    """The reference oracles' outage A, covertness D and covertness E rows at
+    the subproblem point v, with each slack at its closed-form optimum, and
+    each row's scale (its largest term, where its rounding lives): two
+    (slots, 3) arrays, plus row F, which the optimum makes tight."""
+    cfg, exp = sub.cfg, sub.expansion
+    model = DetectionModel.from_config(cfg)
+    lay = sub.layout
+    q = sub.unpack(v)[0].waypoints
+    p, r, u1 = v[lay.p], v[lay.r], v[lay.u1]
+    dist2 = np.sum((q - cfg.bob_est) ** 2, axis=1)
+    res_a, _, _ = bti_outage_residuals(
+        q, p, r, np.full(len(q), cfg.var_bob),
+        np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2), cfg,
+        p_t=exp.p_tilde.powers, r_t=exp.r_tilde.rates)
+    slack = g5(q, exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie) + 1.0
+    res_d, res_e, res_f = covertness_residuals(
+        q, p, u1, slack, exp, model, cfg.rho_w, cfg.willie_est)
+    lam = lambda_of(q, cfg.willie_est, cfg.var_willie)
+    e_t = np.exp2(exp.r_tilde.rates) - 1.0
+    scale = np.stack([cfg.altitude_H**2 + dist2
+                      + cfg.gamma0 * exp.p_tilde.powers * np.exp2(r) / (e_t * e_t),
+                      np.sqrt((lam + 1.0) * np.maximum(u1, exp.u1_tilde)) + 1.0,
+                      np.log(lam + 2.0 + model.h2_over_var) + 1.0], axis=1)
+    return np.stack([res_a, res_d, res_e], axis=1), scale, res_f / slack
+
+
+def jitter(sub, rng, spread=0.2, step_m=2.0):
+    """A point near the start: multiplicative jitter keeps p, r and u1
+    positive, and free waypoints move by a few metres."""
+    lay = sub.layout
+    q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
+    v = sub.start * np.exp(rng.normal(0, spread, sub.n_var))
+    v[q_cols] = sub.start[q_cols] + rng.normal(0, step_m, q_cols.size)
+    return v
 
 
 class TestOptimalSlackSubstitution:
@@ -491,45 +525,83 @@ class TestOptimalSlackSubstitution:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_rows_match_slack_oracles(self, small_cfg, rng, fixed):
-        cfg = small_cfg
-        exp = initial_point(cfg)
-        model = DetectionModel.from_config(cfg)
-        sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed)
-        lay = sub.layout
-        q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
-        q_t = exp.traj_tilde.waypoints
-        checked = 0
+        sub = assemble_subproblem(initial_point(small_cfg), small_cfg, fixed_trajectory=fixed)
+        slot = next(f for f in sub.families if f.name == "slot")
         for _ in range(20):
-            # multiplicative jitter keeps p, r and u1 positive
-            v = sub.start * np.exp(rng.normal(0, 0.2, sub.n_var))
-            v[q_cols] = sub.start[q_cols] + rng.normal(0, 2.0, q_cols.size)
-            q = sub.unpack(v)[0].waypoints
-            p, r, u1 = v[lay.p], v[lay.r], v[lay.u1]
-            dist2 = np.sum((q - cfg.bob_est) ** 2, axis=1)
-            res_a, _, _ = bti_outage_residuals(
-                q, p, r, np.full(len(q), cfg.var_bob),
-                np.sqrt(2.0 * cfg.var_bob**2 + 2.0 * cfg.var_bob * dist2), cfg,
-                p_t=exp.p_tilde.powers, r_t=exp.r_tilde.rates)
-            slack = g5(q, q_t, cfg.willie_est, cfg.var_willie) + 1.0
-            res_d, res_e, res_f = covertness_residuals(
-                q, p, u1, slack, exp, model, cfg.rho_w, cfg.willie_est)
-            assert np.all(np.abs(res_f) <= 1e-15 * slack)  # row F is tight
-            expect = {"outage_A": res_a, "covert_D": res_d, "covert_E": res_e}
-            # each oracle's largest term, the scale its rounding lives on
-            e_t = np.exp2(exp.r_tilde.rates) - 1.0
-            scale = {"outage_A": cfg.altitude_H**2 + dist2
-                     + cfg.gamma0 * exp.p_tilde.powers * np.exp2(r) / (e_t * e_t),
-                     "covert_D": np.sqrt((lambda_of(q, cfg.willie_est, cfg.var_willie) + 1.0)
-                                         * np.maximum(u1, exp.u1_tilde)) + 1.0,
-                     "covert_E": np.log(lambda_of(q, cfg.willie_est, cfg.var_willie)
-                                        + 2.0 + model.h2_over_var) + 1.0}
-            for fam in sub.families:
-                kind = fam.name.removesuffix("_fixed")
-                if kind not in expect:
-                    continue
-                slots = np.array([int(lbl[lbl.index("[") + 1:-1]) for lbl in fam.row_labels])
-                got = fam.values(fam.gather(v))
-                err = np.abs(got - expect[kind][slots]) / scale[kind][slots]
-                assert np.max(err) <= 1e-12, (fam.name, float(np.max(err)))
-                checked += 1
-        assert checked == 20 * (3 if fixed else 6)
+            v = jitter(sub, rng)
+            expect, scale, tight = slack_oracle_rows(sub, v)
+            assert np.all(np.abs(tight) <= 1e-15)  # row F is tight
+            got = slot.values(slot.gather(v)).reshape(-1, 3)
+            err = np.abs(got - expect) / scale
+            assert np.max(err) <= 1e-12, float(np.max(err))
+
+
+class _Cases(list):
+    """A list whose repr stays short in Hypothesis's reports."""
+
+    def __repr__(self):
+        return f"<{len(self)} cases>"
+
+
+@pytest.fixture(scope="module")
+def slot_kernels(cfg, small_cfg):
+    """(subproblem, slot family) for the first JTP and STP subproblems of
+    small_cfg and of the baseline."""
+    out = _Cases()
+    for c in (small_cfg, cfg):
+        exp = initial_point(c)
+        for fixed in (False, True):
+            sub = assemble_subproblem(exp, c, fixed_trajectory=fixed)
+            out.append((sub, next(f for f in sub.families if f.name == "slot")))
+    return out
+
+
+class TestSlotKernel:
+    """Values, gradients and pattern Hessians of the fused slot family, slot
+    by slot, at points near the start inside the rows' domain: the values
+    against the reference oracles, the derivatives against central
+    differences."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=st.integers(0, 3), slot_frac=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 0.05, 0.3]),
+           last=st.booleans())
+    def test_slot_rows_match_oracles_and_differences(self, slot_kernels, case, slot_frac,
+                                                     seed, spread, last):
+        sub, fam = slot_kernels[case]
+        n = sub.layout.n_slots
+        i = n - 1 if last else int(slot_frac * n)  # the last slot's waypoint is fixed
+        # only slot i moves, so the oracles' other slots stay in their domain
+        v = sub.start.copy()
+        block = fam.idx[i][fam.idx[i] >= 0]
+        v[block] = jitter(sub, np.random.default_rng(seed), spread, 20.0 * spread)[block]
+        V = fam.gather(v)
+        expect, scale, _ = slack_oracle_rows(sub, v)
+        got = fam.values(V).reshape(n, 3)[i]
+        assert np.all(np.abs(got - expect[i]) <= 1e-12 * scale[i]), (got, expect[i])
+
+        live = np.nonzero(fam.idx[i] >= 0)[0]
+        assert live.tolist() == ([2, 3, 4] if i >= fam.nf else [0, 1, 2, 3, 4])
+        G = fam.grads(V).reshape(n, 3, 5)[i]
+        H = expand_hessians(fam, V)[i]
+
+        def at(col, x, of):
+            W = V.copy()
+            W[i, col] = x
+            return of(W)
+
+        # central differences with step h carry rounding of about
+        # eps |f| / h, so each entry's absolute bound scales with the size of
+        # what is differenced: the row's largest term for values, the
+        # differenced gradient entry for the Hessian
+        for col in live:
+            x = V[i, col]
+            # waypoints and rates are smooth on a unit scale; 1/P and sqrt(u1)
+            # need a step relative to the variable
+            h = 1e-6 * max(abs(x), 1e-9 if col in (2, 4) else 1.0)
+            fd = (at(col, x + h, fam.values) - at(col, x - h, fam.values)).reshape(n, 3)[i] / (2 * h)
+            assert np.all(np.abs(G[:, col] - fd) <= 1e-6 * np.abs(fd) + 1e-13 * scale[i] / h), col
+            gp, gm = (at(col, y, fam.grads).reshape(n, 3, 5)[i] for y in (x + h, x - h))
+            fd_h = (gp - gm)[:, live] / (2 * h)
+            noise = 1e-13 * np.maximum(np.abs(gp), np.abs(gm))[:, live] / h
+            assert np.all(np.abs(H[:, col][:, live] - fd_h) <= 1e-6 * np.abs(fd_h) + noise), col

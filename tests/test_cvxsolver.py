@@ -11,7 +11,6 @@ from covertuav.cvxsolver import (
     BarrierProblem,
     SolverSettings,
     _Work,
-    _gradient,
     _newton_banded,
     _phi,
     _pieces,
@@ -50,6 +49,7 @@ class QuadEpigraph(ResidualFamily):
         n = Q.shape[0]
         super().__init__(np.arange(n + 1)[None, :], ["quad_epi"])
         self.Q, self.b = Q, b
+        self.hess_pattern = tuple((i, j) for i in range(n) for j in range(i, n))
 
     def values(self, V):
         x, t = V[:, :-1], V[:, -1]
@@ -63,9 +63,7 @@ class QuadEpigraph(ResidualFamily):
         return g
 
     def hess(self, V):
-        h = np.zeros((1, self.k, self.k))
-        h[0, :-1, :-1] = self.Q
-        return h
+        return np.array([[self.Q[i, j] for i, j in self.hess_pattern]])
 
 
 def newton_system(work, v, mu, lam=None):
@@ -73,40 +71,59 @@ def newton_system(work, v, mu, lam=None):
     vals = work.values(v)
     lam = mu / -vals if lam is None else lam
     pieces = _pieces(work, v, vals, lam)
-    return _gradient(work, pieces, mu / -vals), pieces
+    return work.gradient(mu / -vals), pieces
+
+
+def expand_hessians(f, V):
+    """Test oracle: a family's Hessians as full (blocks, rows, k, k) blocks,
+    expanded from the entries hess returns on its declared upper pattern
+    (zero for a linear family)."""
+    b = V.shape[0]
+    H = np.zeros((b, f.rows, f.k, f.k))
+    if f.is_linear:
+        return H
+    h = np.asarray(f.hess(V)).reshape(b, f.rows, len(f.hess_pattern))
+    for n, (i, j) in enumerate(f.hess_pattern):
+        H[:, :, i, j] = H[:, :, j, i] = h[:, :, n]
+    return H
 
 
 def dense_newton_oracle(problem, gathered, mu, lam=None):
     """Test oracle: the primal-dual Newton system as a dense d x d matrix.
 
-    gathered[i] is family i's (m, k) variable matrix and lam the duals of
-    all rows in family order (mu / s when None). In scaled coordinates
+    gathered[i] is family i's (blocks, k) variable matrix and lam the duals
+    of all rows in family order (mu / s when None). In scaled coordinates
     (v = var_scale * w) the barrier gradient and Newton matrix are
         g = var_scale * obj_coef + sum_i mu G_i / s_i,
         H = sum_i lam_i (G_i G_i^T / s_i + H_i),
     with s_i = -c_i the slacks and G_i, H_i the residuals' gradients and
     Hessians in w, assembled here row by row with np.add.at; at lam = mu / s
-    H is the barrier Hessian. Returns (H, g).
+    H is the barrier Hessian. A constant column (negative index) is no
+    variable, so its entries land in a padding row and column that are
+    dropped. Returns (H, g).
     """
     scale = np.asarray(problem.var_scale, dtype=float)
     d = scale.size
-    g = np.asarray(problem.obj_coef, dtype=float) * scale
-    H = np.zeros((d, d))
+    g = np.append(np.asarray(problem.obj_coef, dtype=float) * scale, 0.0)
+    H = np.zeros((d + 1, d + 1))
     pos = 0
     for f, V in zip(problem.families, gathered):
         if f.m == 0:
             continue
-        slack = -f.values(V)
-        w = mu / slack if lam is None else lam[pos:pos + f.m]
+        b, r = V.shape[0], f.rows
+        slack = -f.values(V).reshape(b, r)
+        w = mu / slack if lam is None else lam[pos:pos + f.m].reshape(b, r)
         pos += f.m
-        s = scale[f.idx]
-        G = f.grads(V) * s
-        Hf = f.hess(V) * s[:, :, None] * s[:, None, :]
-        np.add.at(g, f.idx, mu * G / slack[:, None])
-        blocks = w[:, None, None] * (np.einsum("mi,mj->mij", G, G) / slack[:, None, None]
-                                     + Hf)
-        np.add.at(H, (f.idx[:, :, None], f.idx[:, None, :]), blocks)
-    return H, g
+        idx = np.where(f.idx >= 0, f.idx, d)[:, None, :]
+        s = np.append(scale, 0.0)[idx]
+        G = f.grads(V).reshape(b, r, f.k) * s
+        Hf = expand_hessians(f, V) * s[..., :, None] * s[..., None, :]
+        np.add.at(g, np.broadcast_to(idx, G.shape), mu * G / slack[..., None])
+        blocks = w[..., None, None] * (np.einsum("bri,brj->brij", G, G)
+                                       / slack[..., None, None] + Hf)
+        np.add.at(H, (np.broadcast_to(idx[..., :, None], blocks.shape),
+                      np.broadcast_to(idx[..., None, :], blocks.shape)), blocks)
+    return H[:d, :d], g[:d]
 
 
 def dense_direction(H, g):
@@ -131,6 +148,7 @@ class TestToys:
         class Soc(ResidualFamily):
             name = "soc"
             is_linear = False
+            hess_pattern = ((0, 0),)
 
             def __init__(self):
                 super().__init__(np.array([[0]]), ["soc"])
@@ -143,7 +161,7 @@ class TestToys:
 
             def hess(self, V):
                 rt = np.sqrt(2.0 + 2.0 * V[:, 0] ** 2)
-                return (2.0 / rt * (1.0 - 2.0 * V[:, 0] ** 2 / rt**2)).reshape(1, 1, 1)
+                return (2.0 / rt * (1.0 - 2.0 * V[:, 0] ** 2 / rt**2)).reshape(1, 1)
 
         prob = BarrierProblem(np.array([-1.0]), [Soc()], np.array([0.0]), np.ones(1))
         res = solve(prob, settings=SolverSettings(kkt_tol=1e-10))
@@ -312,7 +330,7 @@ class TestRobustness:
             gathered = [by_family.get(fi) for fi in range(len(sub.families))]
             lam = np.empty(work.m)
             for fi, _, _, _, lam_f in pieces:
-                lam[work.rows[fi]] = lam_f
+                lam[work.rows[fi]] = lam_f.T.ravel()  # pieces hold (rows, blocks)
             # given the duals, the Newton matrix does not depend on mu
             return dense_direction(dense_newton_oracle(sub, gathered, 1.0, lam)[0], g)
 
@@ -419,6 +437,7 @@ class SqrtDomain(ResidualFamily):
     """
 
     name = "sqrt_domain"
+    hess_pattern = ((0, 0),)
 
     def __init__(self):
         super().__init__(np.array([[0]]), ["sqrt_domain"])
@@ -436,7 +455,7 @@ class SqrtDomain(ResidualFamily):
         return (1.0 - 1.0 / np.sqrt(V[:, 0]))[:, None]
 
     def hess(self, V):
-        return (0.5 * V[:, 0] ** -1.5).reshape(-1, 1, 1)
+        return (0.5 * V[:, 0] ** -1.5).reshape(-1, 1)
 
 
 @pytest.fixture(scope="module")

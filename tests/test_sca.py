@@ -182,6 +182,28 @@ class TestScaLoop:
         assert np.allclose(clone.trajectory.waypoints, plan.trajectory.waypoints)
 
 
+@pytest.mark.parametrize("runner", [run_jtp, run_stp])
+def test_solve_records_match_the_solves(small_cfg, monkeypatch, runner):
+    # one scalar record per subproblem solve, carrying that solve's own counts
+    results = []
+    solve = cvxsolver.solve
+
+    def recorded(sub, **kwargs):
+        results.append(solve(sub, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cvxsolver, "solve", recorded)
+    _, trace = runner(small_cfg)
+    assert len(trace.solves) == trace.subproblem_solves == len(results)
+    assert (sum(r.newton_steps for r in trace.solves)
+            == sum(res.iterations for res in results))
+    for rec, res in zip(trace.solves, results):
+        assert (rec.newton_steps, rec.backtracks, rec.merit_evals, rec.gap,
+                rec.dual_residual, rec.status) == (
+            res.iterations, res.backtracks, res.merit_evals, res.gap,
+            res.kkt.stationarity, res.status)
+
+
 @pytest.mark.parametrize("period", [None, 200.0, 210.0, 250.0, 300.0])
 @pytest.mark.parametrize("runner", [run_jtp, run_stp])
 def test_last_solve_certifies_stationarity(small_cfg, monkeypatch, period, runner):
