@@ -20,7 +20,7 @@ from .scenario import (
     baseline_config,
     load_config,
 )
-from .detection import DetectionModel, NoncentralChi2, xi_lower_bound
+from .detection import DetectionModel, xi_lower_bound
 from .convexify import ExpansionPoint, ConvexSubproblem, assemble_subproblem
 from .cvxsolver import SolverSettings, SolverResult, solve, check_kkt
 from .sca import (
@@ -41,7 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ScenarioConfig", "Trajectory", "PowerSchedule", "RateSchedule",
     "ScenarioError", "ConfigParseError", "baseline_config", "load_config",
-    "DetectionModel", "NoncentralChi2", "xi_lower_bound",
+    "DetectionModel", "xi_lower_bound",
     "ExpansionPoint", "ConvexSubproblem", "assemble_subproblem",
     "SolverSettings", "SolverResult", "solve", "check_kkt",
     "Plan", "ScaSettings", "ScaTrace", "SolveRecord", "InfeasibleScenarioError",

@@ -24,12 +24,12 @@ import numpy as np
 
 from .scenario import (
     ConfigParseError,
-    ScenarioConfig,
     ScenarioError,
     load_config,
+    parse_key_values,
     parse_quantity,
 )
-from .sca import InfeasibleScenarioError, run_jtp, run_stp
+from .sca import InfeasibleScenarioError, Plan, run_jtp, run_stp
 from .validate import McSettings, validate_plan
 
 
@@ -70,6 +70,8 @@ _PARAM_SPECS = {
 
 _SCHEMES = {"JTP": run_jtp, "STP": run_stp}
 
+_SWEEP_KEYS = ("param", "values", "schemes", "mc_validate")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -80,16 +82,7 @@ class SweepSpec:
 
 
 def parse_sweep_text(text: str) -> SweepSpec:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigParseError(f"line {lineno}", f"expected 'key = value', got '{line.strip()}'")
-        key, _, value = body.partition("=")
-        entries[key.strip()] = value.strip()
-
+    entries = parse_key_values(text, _SWEEP_KEYS)
     for key in ("param", "values", "schemes"):
         if key not in entries:
             raise ConfigParseError(key, "required sweep key is missing")
@@ -125,6 +118,17 @@ def load_sweep(path) -> SweepSpec:
 # run
 # ---------------------------------------------------------------------------
 
+def _out_dir(out_dir) -> Path | None:
+    """The output directory, created if missing, or None after an error."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output dir '{out}': {exc}", file=sys.stderr)
+        return None
+    return out
+
+
 def _write_plan_outputs(out_dir: Path, plan, trace, scheme: str) -> None:
     payload = plan.to_dict()
     payload["scheme"] = scheme
@@ -156,11 +160,8 @@ def cmd_run(config_path, out_dir, scheme: str = "JTP", seed: int = 20240,
     if scheme not in _SCHEMES:
         print(f"error: unknown scheme '{scheme}'", file=sys.stderr)
         return 1
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir '{out}': {exc}", file=sys.stderr)
+    out = _out_dir(out_dir)
+    if out is None:
         return 1
 
     try:
@@ -228,17 +229,17 @@ def cmd_sweep(config_path, sweep_path, out_dir, seed: int = 20240,
     except (ConfigParseError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
+    if out is None:
+        return 1
 
     field_name, _ = _PARAM_SPECS[spec.param]
-    mc = mc_samples if (mc_samples > 0 or not spec.mc_validate) else 1_000_000
+    mc = mc_samples if mc_samples > 0 else (1_000_000 if spec.mc_validate else 0)
     cells = []
     for value in spec.values:
         for scheme in spec.schemes:
             cell_seed = seed + 1_000_003 * len(cells)  # one stream per cell
-            cells.append((cfg, field_name, value, scheme, cell_seed,
-                          mc if spec.mc_validate or mc_samples > 0 else 0))
+            cells.append((cfg, field_name, value, scheme, cell_seed, mc))
 
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -270,8 +271,6 @@ def cmd_sweep(config_path, sweep_path, out_dir, seed: int = 20240,
 def cmd_validate(plan_path, config_path, out_dir, seed: int = 20240,
                  mc_samples: int = 1_000_000) -> int:
     """Monte Carlo audit of an existing plan.json against a scenario."""
-    from .sca import Plan
-
     try:
         cfg = load_config(config_path)
         plan = Plan.from_dict(json.loads(Path(plan_path).read_text(encoding="utf-8")))
@@ -290,8 +289,9 @@ def cmd_validate(plan_path, config_path, out_dir, seed: int = 20240,
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
+    if out is None:
+        return 1
     _write_json(out / "validation.json", rep.to_dict())
     if rep.passed:
         return 0

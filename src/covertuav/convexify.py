@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvxsolver import residual_values
+from .cvxsolver import residual_values, row_label
 from .detection import POSITIVE_FLOOR, DetectionModel, lambda_of, xi_lower_bound
 from .scenario import (
     FEAS_RTOL,
@@ -292,18 +292,22 @@ class ResidualFamily:
     (i, j), i <= j, entries of a row's symmetric Hessian that can be
     nonzero. Rows must be convex; NaNs in values are treated as out-of-domain
     by the solver.
+
+    kinds names the rows in turn ((name,) when empty): row r is labelled
+    kind[g], kind = kinds[r % len(kinds)] and g = r // len(kinds), by
+    cvxsolver.row_label, only when a violated row is reported.
     """
 
     name: str = "residual"
     is_linear = False
     rows = 1
     hess_pattern: tuple = ()
+    kinds: tuple = ()
 
-    def __init__(self, idx: np.ndarray, row_labels: list[str]):
+    def __init__(self, idx: np.ndarray):
         self.idx = np.asarray(idx, dtype=np.int64)
         if self.idx.ndim != 2:
             raise ValueError("idx must be (blocks, k)")
-        self.row_labels = row_labels
 
     @property
     def m(self) -> int:
@@ -331,9 +335,9 @@ class LinearFamily(ResidualFamily):
 
     is_linear = True
 
-    def __init__(self, idx, coef, const, name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
+    def __init__(self, idx, coef, const, name, kinds=()):
+        super().__init__(idx)
+        self.name, self.kinds = name, tuple(kinds)
         self.coef = np.asarray(coef, dtype=float)
         self.const = np.asarray(const, dtype=float)
 
@@ -352,11 +356,11 @@ class StepCapFamily(ResidualFamily):
     coordinates in `fixed`.
     """
 
+    name = "mobility"
     hess_pattern = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (1, 3))
 
-    def __init__(self, idx, fixed, cap_sq, name, row_labels):
-        super().__init__(idx, row_labels)
-        self.name = name
+    def __init__(self, idx, fixed, cap_sq):
+        super().__init__(idx)
         self.free = self.idx >= 0
         self.fixed = np.asarray(fixed, dtype=float)
         self.cap_sq = float(cap_sq)
@@ -412,41 +416,67 @@ class SlotFamily(ResidualFamily):
 
     name = "slot"
     rows = 3
+    kinds = ("outage_A", "covert_D", "covert_E")
     hess_pattern = ((0, 0), (0, 1), (1, 1), (2, 2), (3, 3), (4, 4))
 
-    def __init__(self, idx, q_fix, c_a, c_d, c_e, *, bob_est, eps2, s_b, c1, c2, p_t, r_t,
-                 q_t, willie_est, var_w, quad_d, quad_e, lin_p_d, lin_p_e, lin_u1_d, k_w,
-                 e_c):
-        n = len(idx)
-        kinds = ("outage_A", "covert_D", "covert_E")
-        super().__init__(idx, [f"{kind}[{i}]" for i in range(n) for kind in kinds])
+    def __init__(self, idx, fixed_w, exp: ExpansionPoint, cfg: ScenarioConfig,
+                 model: DetectionModel):
+        super().__init__(idx)
         free = self.idx[:, 0] >= 0
         self.nf = nf = int(free.sum())
         if not free[:nf].all():
             raise ValueError("free waypoints must precede the fixed ones")
+        q_t, p_t, r_t = exp.traj_tilde.waypoints, exp.p_tilde.powers, exp.r_tilde.rates
+        u1_t = exp.u1_tilde
+        eps2, h2, var_w = cfg.var_bob, cfg.altitude_H**2, cfg.var_willie
+        h2v = model.h2_over_var
+        a_b = -math.log(cfg.rho_b)
+        c_sq = math.sqrt(math.pi / 2.0)
+        dw = q_t - cfg.willie_est
+        lam_t = np.sum(dw * dw, axis=1) / var_w
+        lam1_t = lam_t + 1.0
+        # g1 coefficients
+        e_rt = np.exp2(r_t) - 1.0
+        c0 = cfg.gamma0 * p_t / e_rt
+        c1 = cfg.gamma0 * p_t * p_t / e_rt
+        c2 = cfg.gamma0 * p_t / (e_rt * e_rt)
+        # g2 coefficients, scaled by sqrt(pi/2)
+        a0 = np.sqrt(lam1_t * u1_t)
+        a1 = c_sq * 0.5 * np.sqrt(lam1_t / u1_t)
+        a2 = c_sq * 0.5 * np.sqrt(u1_t / lam1_t)
+        # g3 coefficients
+        bw = model.beta1 * var_w
+        b0 = np.log1p(bw * p_t / h2)
+        b1 = bw / (h2 + bw * p_t)
+        # g4 coefficients
+        denom = lam_t + 2.0 + h2v + model.beta1 * p_t
         # every array below is one value per slot, or per free slot for the
         # waypoint terms, so that each operation runs over one contiguous row
-        self.bx, self.by = (float(x) for x in bob_est)
-        self.wx, self.wy = (float(x) for x in willie_est)
+        self.bx, self.by = (float(x) for x in cfg.bob_est)
+        self.wx, self.wy = (float(x) for x in cfg.willie_est)
         self.e4, self.e2 = 2.0 * eps2 * eps2, 2.0 * eps2
-        self.s_b, self.k_w, self.e_c = float(s_b), float(k_w), float(e_c)
+        self.s_b = math.sqrt(-2.0 * math.log(cfg.rho_b))
+        self.k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * cfg.rho_w
+        self.e_c = 1.0 + h2v
         self.c1, self.p_t, self.r_t = c1, p_t, r_t
         self.c2rt = c2 * np.exp2(r_t)
-        self.l_d, self.l_e, self.m_d = lin_p_d, lin_p_e, lin_u1_d
-        dw = q_t - np.asarray(willie_est, dtype=float)
+        self.l_d, self.l_e, self.m_d = b1, model.beta1 / denom, a1
         g5 = (2.0 / var_w) * dw
-        lam1_t = np.sum(dw * dw, axis=1) / var_w + 1.0
-        self.n_d, self.n_e = quad_d / var_w, quad_e / var_w
-        self.const = np.stack([c_a, c_d, c_e])
-        self._add_q_values(self.const[:, nf:], *np.asarray(q_fix, dtype=float)[nf:].T, *(
+        self.n_d, self.n_e = a2 / var_w, (1.0 / denom) / var_w
+        # c_a, c_d, c_e; outage A keeps its expansion-relative terms apart
+        self.const = np.stack([
+            2.0 * eps2 + a_b * eps2 + h2 - c0,
+            c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t,
+            np.log(denom) - (lam_t + model.beta1 * p_t) / denom])
+        self._add_q_values(self.const[:, nf:], *np.asarray(fixed_w, dtype=float)[nf:].T, *(
             x[nf:] for x in (q_t[:, 0], q_t[:, 1], g5[:, 0], g5[:, 1], lam1_t,
                              self.n_d, self.n_e)))
         self.q_free = tuple(np.ascontiguousarray(x[:nf]) for x in (
             q_t[:, 0], q_t[:, 1], g5[:, 0], g5[:, 1], lam1_t, self.n_d, self.n_e))
         # gradient entries that do not depend on the variables
-        self.g_const = np.zeros((3, 5, n))
-        self.g_const[1, 2] = lin_p_d
-        self.g_const[2, 2] = lin_p_e
+        self.g_const = np.zeros((3, 5, len(self.idx)))
+        self.g_const[1, 2] = self.l_d
+        self.g_const[2, 2] = self.l_e
 
     def _slack(self, qx, qy, qtx, qty, gx, gy, lam1_t):
         return lam1_t + (gx * (qx - qtx) + gy * (qy - qty))
@@ -562,18 +592,8 @@ class ConvexSubproblem:
     def n_var(self) -> int:
         return self.layout.n_var
 
-    @property
-    def n_constraints(self) -> int:
-        return sum(f.m for f in self.families)
-
     def eval_values(self, v: np.ndarray) -> np.ndarray:
         return residual_values(self.families, v)
-
-    def constraint_names(self) -> list[str]:
-        names: list[str] = []
-        for f in self.families:
-            names.extend(f.row_labels)
-        return names
 
     def unpack(self, v: np.ndarray):
         """(trajectory, powers, rates, u1) of a subproblem point."""
@@ -622,25 +642,25 @@ def exact_feasibility(traj: Trajectory, powers: PowerSchedule, rates: RateSchedu
     }
 
 
-def first_violation(margins: dict, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> str | None:
+def first_violation(margins: dict, cfg: ScenarioConfig) -> str | None:
     """The first constraint family whose margins break tolerance, or None.
 
     Families are tested in the order mobility, power, outage, covertness; a
-    margin below -rtol times its family's scale (or NaN) is a violation.
+    margin below -FEAS_RTOL times its family's scale (or NaN) is a violation.
     """
-    tol_pow = rtol * max(cfg.p_peak_max, 1e-30)
+    tol_pow = FEAS_RTOL * max(cfg.p_peak_max, 1e-30)
     for family, margin, tol in (
-            ("mobility", margins["mobility"], rtol * cfg.max_step_L),
+            ("mobility", margins["mobility"], FEAS_RTOL * cfg.max_step_L),
             ("power", np.append(margins["power_peak"], margins["power_avg"]), tol_pow),
-            ("outage", margins["outage"], rtol * max(cfg.altitude_H**2, 1.0)),
-            ("covertness", margins["covertness"], rtol)):
+            ("outage", margins["outage"], FEAS_RTOL * max(cfg.altitude_H**2, 1.0)),
+            ("covertness", margins["covertness"], FEAS_RTOL)):
         if not np.all(margin >= -tol):
             return family
     return None
 
 
-def exact_feasible(margins: dict, cfg: ScenarioConfig, rtol: float = FEAS_RTOL) -> bool:
-    return first_violation(margins, cfg, rtol) is None
+def exact_feasible(margins: dict, cfg: ScenarioConfig) -> bool:
+    return first_violation(margins, cfg) is None
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +697,6 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     lay = VarLayout.build(n, traj_free)
 
     q_t = exp.traj_tilde.waypoints
-    p_t = exp.p_tilde.powers
-    r_t = exp.r_tilde.rates
-    u1_t = np.maximum(exp.u1_tilde, POSITIVE_FLOOR)
 
     # fixed waypoint values: expansion trajectory, with the final slot pinned
     # to the landing point it must already match
@@ -688,37 +705,6 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         if np.linalg.norm(q_t[-1] - cfg.q_final) > FEAS_RTOL * cfg.max_step_L:
             raise InfeasibleExpansionError("mobility", "expansion must end at q_final")
         fixed_w[-1] = cfg.q_final
-
-    eps2 = cfg.var_bob
-    h2 = cfg.altitude_H**2
-    s_b = math.sqrt(-2.0 * math.log(cfg.rho_b))
-    a_b = -math.log(cfg.rho_b)
-    k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * cfg.rho_w
-    c_sq = math.sqrt(math.pi / 2.0)
-    var_w = cfg.var_willie
-    h2v = model.h2_over_var
-
-    dw_t = q_t - cfg.willie_est
-    lam_t = np.sum(dw_t * dw_t, axis=1) / var_w
-
-    # g1 coefficients
-    e_rt = np.exp2(r_t) - 1.0
-    c0 = cfg.gamma0 * p_t / e_rt
-    c1 = cfg.gamma0 * p_t * p_t / e_rt
-    c2 = cfg.gamma0 * p_t / (e_rt * e_rt)
-    # g2 coefficients, scaled by sqrt(pi/2)
-    a0 = np.sqrt((lam_t + 1.0) * u1_t)
-    a1 = c_sq * 0.5 * np.sqrt((lam_t + 1.0) / u1_t)
-    a2 = c_sq * 0.5 * np.sqrt(u1_t / (lam_t + 1.0))
-    # g3 coefficients
-    bw = model.beta1 * var_w
-    b0 = np.log1p(bw * p_t / h2)
-    b1 = bw / (h2 + bw * p_t)
-    # g4 coefficients
-    denom = lam_t + 2.0 + h2v + model.beta1 * p_t
-    g4_const = np.log(denom) - (lam_t + model.beta1 * p_t) / denom
-    inv_denom = 1.0 / denom
-    gp = model.beta1 / denom
 
     families: list[ResidualFamily] = []
 
@@ -731,8 +717,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         ends[0, 0:2] = cfg.q_init
         ends[n - 1, 2:4] = cfg.q_final
         families.append(StepCapFamily(
-            np.stack([prev_x, prev_y, lay.qx, lay.qy], axis=1), ends, cap_sq,
-            "mobility", [f"mobility[step={i}]" for i in range(n)]))
+            np.stack([prev_x, prev_y, lay.qx, lay.qy], axis=1), ends, cap_sq))
     else:
         # trajectory is constant: verify the steps obey the cap outright
         pts = np.vstack([cfg.q_init, q_t])
@@ -746,29 +731,20 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         coef=np.full((1, n), 1.0 / n),
         const=np.array([-cfg.p_avg_max]),
         name="power_avg",
-        row_labels=["power_avg"],
     ))
 
     # --- simple bounds, four rows per slot ------------------------------------
-    kinds = ("power_peak", "power_floor", "rate_floor", "u1_floor")
     families.append(LinearFamily(
         idx=np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1).reshape(-1, 1),
         coef=np.tile([1.0, -1.0, -1.0, -1.0], n)[:, None],
         const=np.tile([-cfg.p_peak_max, P_FLOOR, RATE_FLOOR, U_FLOOR], n),
         name="bounds",
-        row_labels=[f"{kind}[{i}]" for i in range(n) for kind in kinds],
+        kinds=("power_peak", "power_floor", "rate_floor", "u1_floor"),
     ))
 
     # --- outage and covertness, three rows per slot ---------------------------
-    # outage A splits into this constant plus expansion-relative terms handled
-    # inside the family (see SlotFamily)
     families.append(SlotFamily(
-        np.stack([lay.qx, lay.qy, lay.p, lay.r, lay.u1], axis=1), fixed_w,
-        c_a=2.0 * eps2 + a_b * eps2 + h2 - c0,
-        c_d=c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t, c_e=g4_const,
-        bob_est=cfg.bob_est, eps2=eps2, s_b=s_b, c1=c1, c2=c2, p_t=p_t, r_t=r_t, q_t=q_t,
-        willie_est=cfg.willie_est, var_w=var_w, quad_d=a2, quad_e=inv_denom,
-        lin_p_d=b1, lin_p_e=gp, lin_u1_d=a1, k_w=k_w, e_c=1.0 + h2v))
+        np.stack([lay.qx, lay.qy, lay.p, lay.r, lay.u1], axis=1), fixed_w, exp, cfg, model))
     free = lay.qx >= 0
 
     # --- objective, start, scales ------------------------------------------
@@ -779,7 +755,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     scale[lay.qx[free]] = scale[lay.qy[free]] = 100.0
     scale[lay.p] = max(cfg.p_avg_max, 1e-9)
     scale[lay.r] = 1.0
-    scale[lay.u1] = max(float(np.median(u1_t)), 1e-6)
+    scale[lay.u1] = max(float(np.median(exp.u1_tilde)), 1e-6)
 
     # the start is the expansion point, which the previous solve (or the
     # initializer) leaves strictly feasible; a start that is not is rejected
@@ -787,8 +763,8 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     start = np.zeros(lay.n_var)
     start[lay.qx[free]] = q_t[free, 0]
     start[lay.qy[free]] = q_t[free, 1]
-    start[lay.p] = np.clip(p_t, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
-    start[lay.r] = r_t
+    start[lay.p] = np.clip(exp.p_tilde.powers, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
+    start[lay.r] = exp.r_tilde.rates
     start[lay.u1] = np.maximum(exp.u1_tilde, 2.0 * U_FLOOR)
 
     sub = ConvexSubproblem(
@@ -799,7 +775,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     bad = int(np.argmax(vals))
     if vals[bad] >= 0.0:
         raise InfeasibleExpansionError(
-            sub.constraint_names()[bad],
+            row_label(families, bad),
             f"start residual {vals[bad]:.3e} is not strictly negative",
         )
     return sub

@@ -14,12 +14,13 @@ The Newton matrix is sum_i lam_i hess c_i + (lam_i / s_i) grad c_i
 grad c_i^T, the primal barrier Hessian with lam in place of mu / s, and the
 right-hand side is the barrier gradient at mu, so the step p descends the
 barrier merit c . v - mu sum log s and a feasibility-then-Armijo
-backtracking line search on that merit takes it. The duals then move by
-dlam = -lam + mu / s + lam (G p) / s with a fraction-to-boundary step and
-are clipped to within a factor KAPPA_SIGMA of mu / s. mu shrinks
-geometrically once the iterate solves the mu-problem to KAPPA_EPS mu
-(Waechter & Biegler, Math. Program. 106, 2006), and the solve stops when
-the gap lam . s and the dual residual c + G^T lam both meet their targets.
+backtracking line search on that merit (LS_ALPHA, LS_BETA) takes it. The
+duals then move by dlam = -lam + mu / s + lam (G p) / s with a
+fraction-to-boundary step and are clipped to within a factor KAPPA_SIGMA of
+mu / s. mu shrinks by MU_SHRINK once the iterate solves the mu-problem to
+KAPPA_EPS mu (Waechter & Biegler, Math. Program. 106, 2006), and the solve
+stops when the gap lam . s and the dual residual c + G^T lam both meet their
+targets.
 A cold start takes lam = barrier_mu_init / s; a warm start takes the duals
 of a previous solve, with mu their mean complementarity at the new start,
 so a subproblem that starts near its optimum skips the walk to the
@@ -53,6 +54,9 @@ trial within max_backtracks is acceptable or the Newton decrement is not
 finite and positive, ends with status "stalled" at the current interior
 iterate; "max_iters" means the Newton budget ran out. Everything is
 deterministic: no randomized pivoting, no restarts.
+
+Rows are numbered over the families in order; row_label names one only when
+an error reports it, so no label is built on the solver's path.
 """
 
 from __future__ import annotations
@@ -68,24 +72,23 @@ from scipy.optimize import nnls
 TAU = 0.99           # fraction-to-boundary factor of the dual step
 KAPPA_SIGMA = 1e10   # duals stay within this factor of mu / s
 KAPPA_EPS = 10.0     # mu shrinks once the mu-problem is solved to KAPPA_EPS * mu
+MU_SHRINK = 0.2      # factor mu shrinks by
+LS_ALPHA = 0.01      # Armijo slope fraction
+LS_BETA = 0.5        # backtracking factor
+KKT_ACTIVE_TOL = 1e-5  # check_kkt: rows within this relative margin are near-active
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     kkt_tol: float = 1e-7          # stop: gap <= 0.1 kkt_tol max(1, |f|), dual
                                    # residual <= 10 kkt_tol max(1, |c|_inf)
-    max_iters: int = 200           # total Newton steps
+    max_iters: int = 600           # total Newton steps
     barrier_mu_init: float = 1.0   # first mu of a cold start
-    barrier_shrink: float = 0.2
-    ls_alpha: float = 0.01         # Armijo slope fraction
-    ls_beta: float = 0.5           # backtracking factor
     max_backtracks: int = 80
 
     def __post_init__(self):
         if self.kkt_tol <= 0:
             raise ValueError("kkt_tol must be positive")
-        if not 0.0 < self.barrier_shrink < 1.0:
-            raise ValueError("barrier_shrink must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -95,9 +98,6 @@ class KktReport:
     primal: float           # max residual value (feasible when <= 0)
     stationarity: float     # inf-norm of grad f + J^T lambda, scaled variables
     complementarity: float  # max |lambda_i * c_i|
-
-    def max_residual(self) -> float:
-        return max(self.primal, self.stationarity, self.complementarity)
 
 
 @dataclass
@@ -110,7 +110,7 @@ class SolverResult:
     gap: float              # duality gap lam . s at exit
     duals: np.ndarray       # one multiplier per residual row, in family order
     message: str = ""
-    backtracks: int = 0     # line-search trials rejected (each shrinks t by ls_beta)
+    backtracks: int = 0     # line-search trials rejected (each shrinks t by LS_BETA)
     merit_evals: int = 0    # trials inside the domain, so their merit was computed
 
 
@@ -136,6 +136,16 @@ def residual_values(families, v: np.ndarray) -> np.ndarray:
         out[pos:pos + f.m] = f.values(v[f.idx])
         pos += f.m
     return np.nan_to_num(out, nan=np.inf)
+
+
+def row_label(families, row: int) -> str:
+    """kind[group] of residual row `row`, counted over the families in order."""
+    for f in families:
+        if 0 <= row < f.m:
+            kinds = f.kinds or (f.name,)
+            return f"{kinds[row % len(kinds)]}[{row // len(kinds)}]"
+        row -= f.m
+    raise IndexError("residual row out of range")
 
 
 class _Work:
@@ -432,7 +442,7 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
         comp = lam * s
         while (dual_inf <= max(KAPPA_EPS * mu * cw_norm, dual_tol)
                and float(np.abs(comp - mu).max()) <= KAPPA_EPS * mu):
-            mu *= settings.barrier_shrink
+            mu *= MU_SHRINK
             phi0 = None
         g = work.gradient(mu / s)
         try:
@@ -460,11 +470,11 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
             if cand_vals is not None:
                 merit_evals += 1
                 phi1 = _phi(work, cand, mu, cand_vals)
-            if phi1 <= phi0 + settings.ls_alpha * t * slope:
+            if phi1 <= phi0 + LS_ALPHA * t * slope:
                 ok = True
                 break
             backtracks += 1
-            t *= settings.ls_beta
+            t *= LS_BETA
         total += 1
         if not ok:
             status = "stalled"
@@ -515,9 +525,8 @@ def solve(problem, start: np.ndarray | None = None,
     vals0 = work.values(v0)
     worst = int(np.argmax(vals0))
     if vals0[worst] >= 0.0:
-        labels = [label for f in work.families for label in f.row_labels]
         raise ValueError(f"start is not strictly interior: residual "
-                         f"{labels[worst]} = {vals0[worst]:.3e}")
+                         f"{row_label(work.families, worst)} = {vals0[worst]:.3e}")
     s0 = -vals0
     if duals is None:
         mu = settings.barrier_mu_init
@@ -536,8 +545,7 @@ def solve(problem, start: np.ndarray | None = None,
 # KKT audit
 # ---------------------------------------------------------------------------
 
-def check_kkt(problem, point: np.ndarray, duals: np.ndarray | None = None,
-              active_tol: float = 1e-5) -> KktReport:
+def check_kkt(problem, point: np.ndarray, duals: np.ndarray | None = None) -> KktReport:
     """Primal/stationarity/complementarity residuals at a candidate point.
 
     Multipliers are estimated by nonnegative least squares over the
@@ -562,7 +570,7 @@ def check_kkt(problem, point: np.ndarray, duals: np.ndarray | None = None,
 
     if duals is None:
         lam = np.zeros(m)
-        act = vals >= -active_tol * (1.0 + np.abs(vals))
+        act = vals >= -KKT_ACTIVE_TOL * (1.0 + np.abs(vals))
         if np.any(act):
             sol, _ = nnls(J[act].T, -g0)
             lam[act] = sol

@@ -5,9 +5,9 @@ known only up to a log-uniform spread rho around a nominal value. This module
 provides the resulting false-alarm and miss-detection rates, the optimal
 threshold and minimum total error rate, the distribution of the scaled squared
 distance between the UAV and the warden's estimated position (noncentral
-chi-square with 2 degrees of freedom), its Gaussian approximation, and the
-closed-form lower bound on the average minimum total error rate that the
-planner enforces as its covertness constraint.
+chi-square with 2 degrees of freedom), and the closed-form lower bound on the
+average minimum total error rate that the planner enforces as its covertness
+constraint.
 
 The noncentral chi-square density is the closed form
 0.5 exp(-(x + lam)/2) I0(sqrt(lam x)) through the exponentially scaled
@@ -75,13 +75,6 @@ class DetectionModel:
     @property
     def noise_high(self) -> float:
         return self.noise_nominal * self.rho
-
-
-def received_power(p, q_uav, q_willie, model: DetectionModel):
-    """Signal power seen by the warden: p * beta0 / (|q_uav - q_willie|^2 + H^2)."""
-    d = np.asarray(q_uav, dtype=float) - np.asarray(q_willie, dtype=float)
-    dist2 = np.sum(d * d, axis=-1)
-    return np.asarray(p) * model.beta0 / (dist2 + model.altitude_H**2)
 
 
 def false_alarm(p_th, model: DetectionModel):
@@ -156,31 +149,6 @@ def lambda_of(q_uav, willie_est, var_willie: float):
     """Noncentrality |q_uav - willie_est|^2 / var_willie. Broadcasts over points."""
     d = np.asarray(q_uav, dtype=float) - np.asarray(willie_est, dtype=float)
     return np.sum(d * d, axis=-1) / var_willie
-
-
-@dataclass(frozen=True)
-class NoncentralChi2:
-    """Noncentral chi-square distribution; this artifact only uses dof = 2."""
-
-    lam: float
-    dof: int = 2
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("noncentrality must be nonnegative")
-
-    @property
-    def mean(self) -> float:
-        return self.dof + self.lam
-
-    @property
-    def variance(self) -> float:
-        return 2.0 * self.dof + 4.0 * self.lam
-
-
-def gaussian_approx(nc: NoncentralChi2) -> tuple[float, float]:
-    """Moment-matched normal (mean, variance) = (dof + lam, 2 dof + 4 lam)."""
-    return nc.mean, nc.variance
 
 
 def nc_chi2_pdf(x, lam: float):

@@ -19,7 +19,7 @@ start's rate, the loop keeps the start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .convexify import (
 from .cvxsolver import SolverSettings
 from .detection import DetectionModel, lambda_of, xi_lower_bound
 from .scenario import (
-    FEAS_RTOL,
     RATE_FLOOR,
     PowerSchedule,
     RateSchedule,
@@ -60,7 +59,7 @@ class InfeasibleScenarioError(ScenarioError):
 
 @dataclass(frozen=True)
 class ScaSettings:
-    solver: SolverSettings = field(default_factory=lambda: SolverSettings(max_iters=600))
+    solver: SolverSettings = SolverSettings()
     max_outer: int = 100
 
 

@@ -10,7 +10,6 @@ threads; the operations are pure functions.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -47,21 +46,9 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (float(x_db) / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError(f"cannot express non-positive value {x} in dB")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(x_dbm: float) -> float:
     """dBm uses the 1 mW reference: 20 dBm -> 0.1 W."""
     return 1e-3 * db_to_linear(x_dbm)
-
-
-def watts_to_dbm(p_watts: float) -> float:
-    if p_watts <= 0:
-        raise ValueError(f"cannot express non-positive power {p_watts} in dBm")
-    return 10.0 * math.log10(p_watts / 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +214,6 @@ class RateSchedule:
 # operations
 # ---------------------------------------------------------------------------
 
-def channel_gain(q_uav, q_ground, altitude_h: float, beta0: float):
-    """LoS channel power gain beta0 / (|q_uav - q_ground|^2 + H^2).
-
-    Accepts single points or arrays of points broadcast along the leading axis.
-    """
-    d = np.asarray(q_uav, dtype=float) - np.asarray(q_ground, dtype=float)
-    dist2 = np.sum(d * d, axis=-1)
-    return beta0 / (dist2 + altitude_h * altitude_h)
-
-
 def check_mobility(traj: Trajectory, cfg: ScenarioConfig) -> np.ndarray:
     """Feasibility margins for the flight: array of length N + 1.
 
@@ -259,15 +236,6 @@ def check_mobility(traj: Trajectory, cfg: ScenarioConfig) -> np.ndarray:
 class PowerMargins:
     avg_margin: float            # p_avg_max - mean power
     peak_margins: np.ndarray     # p_peak_max - power, per slot
-    floor_margins: np.ndarray    # power - 0, per slot
-
-    def feasible(self, cap: float, rtol: float = FEAS_RTOL) -> bool:
-        tol = rtol * max(cap, 1e-30)
-        return bool(
-            self.avg_margin >= -tol
-            and np.all(self.peak_margins >= -tol)
-            and np.all(self.floor_margins >= -tol)
-        )
 
 
 def check_power(p: PowerSchedule, cfg: ScenarioConfig) -> PowerMargins:
@@ -279,7 +247,6 @@ def check_power(p: PowerSchedule, cfg: ScenarioConfig) -> PowerMargins:
     return PowerMargins(
         avg_margin=cfg.p_avg_max - float(np.mean(p.powers)),
         peak_margins=cfg.p_peak_max - p.powers,
-        floor_margins=p.powers.copy(),
     )
 
 
@@ -371,8 +338,12 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
+def parse_key_values(text: str, known) -> dict[str, str]:
+    """Raw values of the `key = value` lines of a config or sweep file ('#'
+    starts a comment); a line without '=', a key not in `known` and a key
+    given twice each raise ConfigParseError."""
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -381,9 +352,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigParseError(f"line {lineno}", f"expected 'key = value', got '{line.strip()}'")
         key, _, value = body.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ConfigParseError(key, "unknown key")
+        if key in first_line:
+            raise ConfigParseError(key, f"given twice, on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         entries[key] = value.strip()
+    return entries
+
+
+def parse_config_text(text: str) -> ScenarioConfig:
+    entries = parse_key_values(text, _CONFIG_KEYS)
 
     parsed: dict[str, object] = {}
     for key, raw in entries.items():

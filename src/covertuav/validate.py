@@ -36,24 +36,23 @@ _SHARD = 1 << 18  # samples per shard
 # errors of the error-rate sum, about eps (1 + rho^2) / (2 ln rho). Mismatches
 # against the full grid start below 1e-15.
 _FLAT_RISE = 1e-13
+CONFIDENCE_LEVEL = 0.99  # two-sided level of every Monte Carlo interval
+KS_GRID_POINTS = 10_000  # grid of ks_gaussian_approx
 
 
 @dataclass(frozen=True)
 class McSettings:
     num_samples: int = 1_000_000
     rng_seed: int = 20240
-    confidence: float = 0.99
 
     def __post_init__(self):
         if self.num_samples < 1_000:
             raise ValueError("num_samples must be at least 1000")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
 
     @property
     def z_value(self) -> float:
         # two-sided normal quantile via bisection on ndtr (avoids scipy.stats)
-        target = 0.5 * (1.0 + self.confidence)
+        target = 0.5 * (1.0 + CONFIDENCE_LEVEL)
         lo, hi = 0.0, 10.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
@@ -82,14 +81,14 @@ def wilson_interval(successes: int, n: int, z: float) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def ks_gaussian_approx(lam: float, grid_points: int = 10_000) -> float:
+def ks_gaussian_approx(lam: float) -> float:
     """KS distance between the exact distance-statistic CDF and its
     moment-matched normal approximation, on a dense grid."""
     mean = lam + 2.0
     sd = math.sqrt(4.0 * lam + 4.0)
     lo = max(0.0, mean - 8.0 * sd)
     hi = mean + 8.0 * sd
-    grid = np.linspace(lo, hi, grid_points)  # x >= 0, where chndtr is defined
+    grid = np.linspace(lo, hi, KS_GRID_POINTS)  # x >= 0, where chndtr is defined
     exact = chndtr(grid, 2.0, lam)
     gauss = ndtr((grid - mean) / sd)
     return float(np.max(np.abs(exact - gauss)))

@@ -49,6 +49,13 @@ def fmt12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def blocked_dir(tmp_path):
+    """An output directory that cannot be created: its parent is a file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    return str(blocker / "out")
+
+
 class TestRun:
     def test_writes_outputs_and_exits_zero(self, cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -108,6 +115,20 @@ class TestRun:
         assert rc == 1
         assert "p_avg_max" in capsys.readouterr().err
 
+    def test_repeated_config_key_exits_one(self, tmp_path, capsys):
+        # a repeated key is an error naming both lines, not an override
+        p = tmp_path / "twice.cfg"
+        p.write_text(SMALL_CFG + "rho_w = 0.2\n", encoding="utf-8")
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'rho_w'" in err and "lines 19 and 21" in err
+
+    def test_uncreatable_out_dir_exits_one(self, cfg_path, tmp_path, capsys):
+        rc = main(["run", "--config", str(cfg_path), "--out", blocked_dir(tmp_path)])
+        assert rc == 1
+        assert "cannot create output dir" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_rows_in_spec_order(self, cfg_path, tmp_path):
@@ -154,6 +175,34 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert rows[0]["error"] != "" and rows[0]["feasible"] == "false"
         assert rows[1]["error"] == "" and float(rows[1]["actr_bps_hz"]) > 0
+
+    def test_repeated_key_exits_one(self, cfg_path, tmp_path, capsys):
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("param = T\nvalues = 24 s\nschemes = STP\nparam = rho_w\n",
+                         encoding="utf-8")
+        rc = main(["sweep", "--config", str(cfg_path), "--sweep", str(sweep),
+                   "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'param'" in err and "lines 1 and 4" in err
+
+    def test_unknown_key_exits_one(self, cfg_path, tmp_path, capsys):
+        # a misspelt mc_validate must not turn validation off unnoticed
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("param = T\nvalues = 24 s\nschemes = STP\nmc_validat = true\n",
+                         encoding="utf-8")
+        rc = main(["sweep", "--config", str(cfg_path), "--sweep", str(sweep),
+                   "--out", str(tmp_path / "sw")])
+        assert rc == 1
+        assert "'mc_validat': unknown key" in capsys.readouterr().err
+
+    def test_uncreatable_out_dir_exits_one(self, cfg_path, tmp_path, capsys):
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("param = T\nvalues = 24 s\nschemes = STP\n", encoding="utf-8")
+        rc = main(["sweep", "--config", str(cfg_path), "--sweep", str(sweep),
+                   "--out", blocked_dir(tmp_path)])
+        assert rc == 1
+        assert "cannot create output dir" in capsys.readouterr().err
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigParseError, match="not sweepable"):
@@ -214,6 +263,12 @@ class TestValidateCommand:
         rc = cmd_validate(run_dir / "plan.json", other, tmp_path / "v")
         assert rc == 1
         assert "slots" in capsys.readouterr().err
+
+    def test_uncreatable_out_dir_exits_one(self, cfg_path, run_dir, tmp_path, capsys):
+        rc = main(["validate", "--plan", str(run_dir / "plan.json"), "--config",
+                   str(cfg_path), "--out", blocked_dir(tmp_path), "--mc-samples", "1000"])
+        assert rc == 1
+        assert "cannot create output dir" in capsys.readouterr().err
 
     def test_malformed_plan_exits_one(self, cfg_path, tmp_path):
         bad = tmp_path / "bad.json"

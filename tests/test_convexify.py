@@ -20,6 +20,7 @@ from covertuav.convexify import (
     g4,
     g5,
 )
+from covertuav.cvxsolver import row_label
 from covertuav.detection import DetectionModel, lambda_of, xi_lower_bound
 from covertuav.scenario import PowerSchedule
 from covertuav.sca import initial_point
@@ -291,11 +292,13 @@ class TestAssembledSubproblem:
         # end), the budget, the simple bounds and three rows per slot
         by_name = {f.name: f.m for f in sub.families}
         assert by_name == {"mobility": n, "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
-        slot = sub.families[-1]
-        assert slot.row_labels[:6] == ["outage_A[0]", "covert_D[0]", "covert_E[0]",
-                                       "outage_A[1]", "covert_D[1]", "covert_E[1]"]
-        assert slot.row_labels[-1] == f"covert_E[{n - 1}]"
-        assert sub.n_constraints == n + 1 + 4 * n + 3 * n
+        first_slot_row = n + 1 + 4 * n  # the slot family comes last
+        assert [row_label(sub.families, first_slot_row + r) for r in range(6)] == [
+            "outage_A[0]", "covert_D[0]", "covert_E[0]",
+            "outage_A[1]", "covert_D[1]", "covert_E[1]"]
+        m = sum(f.m for f in sub.families)
+        assert m == n + 1 + 4 * n + 3 * n
+        assert row_label(sub.families, m - 1) == f"covert_E[{n - 1}]"
         stp = assemble_subproblem(sub.expansion, cfg, fixed_trajectory=True)
         assert {f.name: f.m for f in stp.families} == {
             "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
@@ -306,9 +309,28 @@ class TestAssembledSubproblem:
         bounds = next(f for f in sub.families if f.name == "bounds")
         lay = sub.layout
         kinds = ("power_peak", "power_floor", "rate_floor", "u1_floor")
-        assert bounds.row_labels[:8] == [f"{k}[{i}]" for i in (0, 1) for k in kinds]
+        assert [row_label([bounds], r) for r in range(8)] == [
+            f"{k}[{i}]" for i in (0, 1) for k in kinds]
         assert np.array_equal(bounds.idx[:, 0].reshape(-1, 4),
                               np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1))
+
+    def test_row_labels_follow_the_scheme(self, small_cfg):
+        # every row of the JTP and STP subproblems is kind[i], slot by slot
+        # within a family: the step caps, the budget, then each slot's bound
+        # rows and its slot-family rows in their declared order
+        n = small_cfg.num_slots_N
+        exp = initial_point(small_cfg)
+        for fixed in (False, True):
+            sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
+            expect = [] if fixed else [f"mobility[{i}]" for i in range(n)]
+            expect.append("power_avg[0]")
+            for kinds in (("power_peak", "power_floor", "rate_floor", "u1_floor"),
+                          ("outage_A", "covert_D", "covert_E")):
+                expect += [f"{k}[{i}]" for i in range(n) for k in kinds]
+            m = sum(f.m for f in sub.families)
+            assert [row_label(sub.families, r) for r in range(m)] == expect
+            with pytest.raises(IndexError):
+                row_label(sub.families, m)
 
     def test_start_strictly_feasible(self, sub):
         assert float(np.max(sub.eval_values(sub.start))) < 0.0

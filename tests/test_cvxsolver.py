@@ -23,14 +23,17 @@ from covertuav.sca import ScaSettings, initial_point
 
 
 def box_family(lo, hi):
+    """Rows x_i <= hi_i and lo_i <= x_i for every finite bound, labelled
+    ub[i] and lb[i] when all bounds are finite and box[row] otherwise."""
     n = len(lo)
-    idx, coef, const, lbl = [], [], [], []
+    idx, coef, const = [], [], []
     for i in range(n):
         if np.isfinite(hi[i]):
-            idx.append([i]); coef.append([1.0]); const.append(-hi[i]); lbl.append(f"ub[{i}]")
+            idx.append([i]); coef.append([1.0]); const.append(-hi[i])
         if np.isfinite(lo[i]):
-            idx.append([i]); coef.append([-1.0]); const.append(lo[i]); lbl.append(f"lb[{i}]")
-    return LinearFamily(np.array(idx), np.array(coef), np.array(const), "box", lbl)
+            idx.append([i]); coef.append([-1.0]); const.append(lo[i])
+    kinds = ("ub", "lb") if np.isfinite(lo).all() and np.isfinite(hi).all() else ()
+    return LinearFamily(np.array(idx), np.array(coef), np.array(const), "box", kinds)
 
 
 def one_d_problem():
@@ -47,7 +50,7 @@ class QuadEpigraph(ResidualFamily):
 
     def __init__(self, Q, b):
         n = Q.shape[0]
-        super().__init__(np.arange(n + 1)[None, :], ["quad_epi"])
+        super().__init__(np.arange(n + 1)[None, :])
         self.Q, self.b = Q, b
         self.hess_pattern = tuple((i, j) for i in range(n) for j in range(i, n))
 
@@ -151,7 +154,7 @@ class TestToys:
             hess_pattern = ((0, 0),)
 
             def __init__(self):
-                super().__init__(np.array([[0]]), ["soc"])
+                super().__init__(np.array([[0]]))
 
             def values(self, V):
                 return np.sqrt(2.0 + 2.0 * V[:, 0] ** 2) - 3.0
@@ -208,7 +211,6 @@ class TestKkt:
         assert rep.primal < 0.0
         assert rep.stationarity < 1e-8
         assert rep.complementarity < 1e-8
-        assert rep.max_residual() < 1e-8
 
     def test_start_point_reports_feasibility(self):
         prob = one_d_problem()
@@ -220,7 +222,11 @@ class TestKkt:
         res = solve(prob, settings=SolverSettings(kkt_tol=1e-10))
         good = check_kkt(prob, res.variables)
         bad = check_kkt(prob, res.variables - 1e-3)
-        assert bad.max_residual() >= good.max_residual() + 1e-4
+
+        def worst(rep):
+            return max(rep.primal, rep.stationarity, rep.complementarity)
+
+        assert worst(bad) >= worst(good) + 1e-4
 
 
 def dual_tol(sub, settings):
@@ -280,10 +286,10 @@ class TestRobustness:
 
     def test_infeasible_problem_detected(self):
         fam = LinearFamily(np.array([[0], [0]]), np.array([[1.0], [-1.0]]),
-                           np.array([-3.0, 4.0]), "bad", ["ub", "lb"])
+                           np.array([-3.0, 4.0]), "bad", ("ub", "lb"))
         prob = BarrierProblem(np.array([-1.0]), [fam], np.array([1.0]), np.ones(1))
         with pytest.raises(ValueError, match=r"not strictly interior: residual "
-                                             r"lb = 3\.000e\+00"):
+                                             r"lb\[0\] = 3\.000e\+00"):
             solve(prob)
 
     def test_deterministic_iterates(self, cfg):
@@ -347,7 +353,7 @@ class TestRobustness:
         fams = [box_family(lo, hi),
                 LinearFamily(np.array([[i, i + 1] for i in range(d - 2)]),
                              np.tile([1.0, -1.0], (d - 2, 1)), np.full(d - 2, -1.5),
-                             "chain", [f"chain[{i}]" for i in range(d - 2)])]
+                             "chain")]
         prob = BarrierProblem(-np.ones(d), fams, np.zeros(d), np.ones(d))
         work = _Work(prob)
         # the 62-row chain of span 1 widens the band to 1, not 62 dyads
@@ -422,7 +428,7 @@ class NanAbove(ResidualFamily):
     name = "nan_above"
 
     def __init__(self, j, cap):
-        super().__init__(np.array([[j]]), ["nan_above"])
+        super().__init__(np.array([[j]]))
         self.cap = cap
 
     def values(self, V):
@@ -440,7 +446,7 @@ class SqrtDomain(ResidualFamily):
     hess_pattern = ((0, 0),)
 
     def __init__(self):
-        super().__init__(np.array([[0]]), ["sqrt_domain"])
+        super().__init__(np.array([[0]]))
         self.nans = 0
         self.grad_points = []
 

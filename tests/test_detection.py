@@ -6,16 +6,13 @@ from scipy import integrate
 
 from covertuav.detection import (
     DetectionModel,
-    NoncentralChi2,
     false_alarm,
     g_of,
     g_upper,
-    gaussian_approx,
     lambda_of,
     min_total_error,
     miss_detection,
     nc_chi2_pdf,
-    received_power,
     xi_lower_bound,
 )
 
@@ -35,22 +32,6 @@ class TestModel:
         with pytest.raises(ValueError):
             DetectionModel(rho=0.9, noise_nominal=1e-15, beta0=1e-6,
                            var_willie=25.0, altitude_H=100.0)
-
-
-class TestReceivedPower:
-    def test_zero_power(self, model):
-        assert received_power(0.0, [0.0, 0.0], [50.0, 0.0], model) == 0.0
-
-    def test_overhead_value(self, model):
-        # 0.1 W * 1e-6 gain / (100 m)^2
-        e = received_power(0.1, [100.0, 300.0], [100.0, 300.0], model)
-        assert e == pytest.approx(1e-11, rel=1e-12)
-
-    def test_linearity(self, model, rng):
-        q = rng.uniform(-300, 300, size=2)
-        e1 = received_power(0.05, q, [100.0, 300.0], model)
-        e2 = received_power(0.10, q, [100.0, 300.0], model)
-        assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
 
 class TestErrorRates:
@@ -128,12 +109,6 @@ class TestDistanceStatistic:
         assert lambda_of([150.0, 300.0], [100.0, 300.0], 25.0) == pytest.approx(100.0)
         # above the receiver with the baseline geometry
         assert lambda_of(cfg.bob_est, cfg.willie_est, cfg.var_willie) == pytest.approx(1600.0)
-
-    def test_moments_fields(self):
-        nc = NoncentralChi2(lam=100.0)
-        assert nc.mean == 102.0
-        assert nc.variance == 404.0
-        assert gaussian_approx(NoncentralChi2(lam=0.0)) == (2.0, 4.0)
 
     def test_pdf_central_case(self, rng):
         x = rng.uniform(0.0, 20.0, size=50)

@@ -12,14 +12,11 @@ from covertuav.scenario import (
     ScenarioError,
     Trajectory,
     baseline_config,
-    channel_gain,
     check_mobility,
     check_power,
     db_to_linear,
     dbm_to_watts,
-    linear_to_db,
     parse_config_text,
-    watts_to_dbm,
 )
 
 
@@ -34,37 +31,6 @@ class TestUnits:
     def test_three_db_spread(self):
         # 10**0.3
         assert db_to_linear(3.0) == pytest.approx(1.9952623149688795, rel=1e-12)
-
-    def test_round_trip(self, rng):
-        for x in rng.uniform(-120.0, 40.0, size=200):
-            assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-12)
-            assert watts_to_dbm(dbm_to_watts(x)) == pytest.approx(x, abs=1e-12)
-
-
-class TestChannelGain:
-    def test_reference_distance(self):
-        assert channel_gain([0.0, 0.0], [0.0, 0.0], 1.0, 1.0) == 1.0
-
-    def test_direct_substitution(self):
-        g = channel_gain([100.0, 0.0], [0.0, 0.0], 100.0, 1e-6)
-        assert g == pytest.approx(5e-11, rel=1e-12)
-
-    def test_overhead_geometry(self):
-        # -60 dB gain, 100 m altitude, directly above the receiver
-        g = channel_gain([-100.0, 300.0], [-100.0, 300.0], 100.0, db_to_linear(-60.0))
-        assert g == pytest.approx(1e-10, rel=1e-12)
-
-    def test_monotone_in_distance(self, rng):
-        ground = np.array([3.0, -7.0])
-        for _ in range(200):
-            a, b = rng.uniform(-500, 500, size=(2, 2))
-            da = np.linalg.norm(a - ground)
-            db = np.linalg.norm(b - ground)
-            ga = channel_gain(a, ground, 80.0, 1e-6)
-            gb = channel_gain(b, ground, 80.0, 1e-6)
-            if da < db:
-                assert ga > gb
-        assert channel_gain(ground, ground, 80.0, 1e-6) > 0
 
 
 class TestConfig:
@@ -156,7 +122,6 @@ class TestPower:
         m = check_power(p, cfg)
         assert m.avg_margin == pytest.approx(cfg.p_avg_max)
         assert np.allclose(m.peak_margins, cfg.p_peak_max)
-        assert m.feasible(cfg.p_peak_max)
 
     def test_average_cap_tight(self, cfg):
         p = PowerSchedule(np.full(cfg.num_slots_N, cfg.p_avg_max))
@@ -172,7 +137,7 @@ class TestPower:
         powers = np.zeros(4)
         powers[0] = cfg.p_peak_max
         m = check_power(PowerSchedule(powers), cfg)
-        assert m.feasible(cfg.p_peak_max)
+        assert np.all(m.peak_margins >= 0.0)
         assert m.avg_margin == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_power_rejected(self):
