@@ -188,7 +188,7 @@ def cmd_run(config_path, out_dir, scheme: str = "JTP", seed: int = 20240,
 
 def _sweep_cell(payload):
     """One (value, scheme) cell; top-level so worker processes can import it."""
-    cfg, field_name, value, scheme, seed, mc_samples = payload
+    cfg, field_name, value, scheme, seed, mc_samples, mc_workers = payload
     row = {
         "param": field_name,
         "value": value,
@@ -208,8 +208,8 @@ def _sweep_cell(payload):
         row["feasible"] = str(bool(plan.feasible)).lower()
         row["min_xi_margin"] = f"{float(np.min(plan.covert_margin)):.12g}"
         if mc_samples > 0:
-            rep = validate_plan(plan, cell_cfg,
-                                McSettings(num_samples=mc_samples, rng_seed=seed))
+            rep = validate_plan(plan, cell_cfg, McSettings(
+                num_samples=mc_samples, rng_seed=seed, workers=mc_workers))
             row["max_outage_mc"] = f"{float(np.max(rep.outage)):.12g}"
     except (ScenarioError, ValueError) as exc:
         row["error"] = str(exc)
@@ -235,13 +235,16 @@ def cmd_sweep(config_path, sweep_path, out_dir, seed: int = 20240,
 
     field_name, _ = _PARAM_SPECS[spec.param]
     mc = mc_samples if mc_samples > 0 else (1_000_000 if spec.mc_validate else 0)
+    pooled = bool(workers and workers > 1)
+    # a k-process sweep audits on k threads in all, one per process
+    mc_workers = 1 if pooled else 0
     cells = []
     for value in spec.values:
         for scheme in spec.schemes:
             cell_seed = seed + 1_000_003 * len(cells)  # one stream per cell
-            cells.append((cfg, field_name, value, scheme, cell_seed, mc))
+            cells.append((cfg, field_name, value, scheme, cell_seed, mc, mc_workers))
 
-    if workers and workers > 1:
+    if pooled:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
@@ -283,14 +286,14 @@ def cmd_validate(plan_path, config_path, out_dir, seed: int = 20240,
     except (ConfigParseError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    out = _out_dir(out_dir)
+    if out is None:
+        return 1
 
     try:
         rep = validate_plan(plan, cfg, McSettings(num_samples=mc_samples, rng_seed=seed))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = _out_dir(out_dir)
-    if out is None:
         return 1
     _write_json(out / "validation.json", rep.to_dict())
     if rep.passed:

@@ -10,15 +10,21 @@ chi-square CDF (``scipy.special.chndtr``), and the covertness bound through
 adaptive quadrature of the statistic's exact density in its closed Bessel
 form.
 
-Sampling uses the counter-based Philox generator keyed by (seed, stream), so
-reports are reproducible across platforms and shards are independent;
-reductions are plain numpy pairwise sums over fixed shard boundaries, hence
-order-independent.
+Sampling uses the counter-based Philox generator keyed by (seed, stream), one
+stream per slot and estimator, so reports are reproducible across platforms
+and slots are independent; reductions are plain numpy pairwise sums over
+fixed shard boundaries, hence order-independent. The slots are split into
+contiguous chunks, one per thread of a pool that lives for one
+``validate_plan`` call (``McSettings.workers``); the Philox fills and the
+ufunc loops release the GIL, and a report is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +50,19 @@ KS_GRID_POINTS = 10_000  # grid of ks_gaussian_approx
 class McSettings:
     num_samples: int = 1_000_000
     rng_seed: int = 20240
+    workers: int = 0  # audit threads; 0 means one per CPU this process may use
 
     def __post_init__(self):
         if self.num_samples < 1_000:
             raise ValueError("num_samples must be at least 1000")
+        if self.workers < 0:
+            raise ValueError("workers must be 0 (one per usable CPU) or positive")
+
+    def threads(self, num_slots: int) -> int:
+        """Threads for an audit of num_slots slots: at most one per slot."""
+        k = self.workers or (len(os.sched_getaffinity(0))
+                             if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        return max(1, min(k, num_slots))
 
     @property
     def z_value(self) -> float:
@@ -130,32 +145,90 @@ def xi_bar_quadrature(lam: float, p: float, model: DetectionModel) -> float:
 # Monte Carlo estimates
 # ---------------------------------------------------------------------------
 
-def empirical_outage(plan: Plan, cfg: ScenarioConfig, mc: McSettings):
+class _SlotKernel:
+    """One thread's buffers for the per-slot sampling, reused by every shard
+    of every slot the thread runs. Each slot's samples come from its own
+    Philox stream, so which thread runs a slot does not change a bit."""
+
+    def __init__(self, num_samples: int):
+        size = min(_SHARD, num_samples)
+        self.num_samples = num_samples
+        self.e = np.empty((size, 2))
+        self.dx = np.empty(size)
+        self.dy = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+
+    def shards(self, gen: np.random.Generator, eps: float, c: np.ndarray, h2: float):
+        """Yield, shard by shard, |c - e|^2 + h2 for location errors
+        e ~ N(0, eps^2 I) drawn from gen, in a buffer the caller may overwrite
+        until the next shard.
+
+        The arithmetic is the row-wise ``np.sum((c - e)**2, axis=1) + h2`` of
+        ``gen.normal(0.0, eps, (take, 2))`` draws, bit for bit, done column-wise
+        and in place.
+        """
+        left = self.num_samples
+        while left > 0:
+            take = min(_SHARD, left)
+            e, dx, dy = self.e[:take], self.dx[:take], self.dy[:take]
+            gen.standard_normal(out=e)
+            e *= eps
+            np.subtract(c[0], e[:, 0], out=dx)
+            np.subtract(c[1], e[:, 1], out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            dx += h2
+            yield dx
+            left -= take
+
+
+def _run_slots(chunk, n: int, mc: McSettings, pool: ThreadPoolExecutor | None) -> list:
+    """Per-slot results in slot order of chunk(lo, hi), run on
+    ``mc.threads(n)`` contiguous chunks of the n slots on the pool's threads
+    (on a pool of that many threads, joined on return, when None)."""
+    workers = mc.threads(n)
+    if pool is None:
+        with ThreadPoolExecutor(max_workers=workers) as own:
+            return _run_slots(chunk, n, mc, own)
+    bounds = [n * j // workers for j in range(workers + 1)]
+    futures = [pool.submit(chunk, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return [row for f in futures for row in f.result()]
+
+
+def empirical_outage(plan: Plan, cfg: ScenarioConfig, mc: McSettings, *,
+                     pool: ThreadPoolExecutor | None = None):
     """Per-slot outage probability estimate with Wilson intervals.
 
     Samples the receiver location error and counts realized-rate shortfalls
     against the planned rate. Returns (p_hat, ci) with ci of shape (N, 2).
+    The slots run on ``pool`` (``mc.threads(N)`` threads when None).
     """
     n = len(plan.trajectory)
     z = mc.z_value
     eps = math.sqrt(cfg.var_bob)
     h2 = cfg.altitude_H**2
+    offsets = plan.trajectory.waypoints - cfg.bob_est
+
+    def chunk(lo, hi):
+        kernel = _SlotKernel(mc.num_samples)
+        counts = []
+        for i in range(lo, hi):
+            gain = plan.power.powers[i] * cfg.gamma0
+            r_i = plan.rates.rates[i]
+            count = 0
+            for x in kernel.shards(_rng(mc.rng_seed, 2 * i), eps, offsets[i], h2):
+                np.divide(gain, x, out=x)
+                x += 1.0
+                np.log2(x, out=x)
+                count += int(np.count_nonzero(np.less(x, r_i, out=kernel.mask[:x.size])))
+            counts.append(count)
+        return counts
+
+    counts = _run_slots(chunk, n, mc, pool)
     p_hat = np.empty(n)
     ci = np.empty((n, 2))
-    for i in range(n):
-        q = plan.trajectory.waypoints[i]
-        p_i = plan.power.powers[i]
-        r_i = plan.rates.rates[i]
-        gen = _rng(mc.rng_seed, 2 * i)
-        count = 0
-        left = mc.num_samples
-        while left > 0:
-            take = min(_SHARD, left)
-            e_b = gen.normal(0.0, eps, size=(take, 2))
-            d = q - cfg.bob_est - e_b
-            snr = p_i * cfg.gamma0 / (np.sum(d * d, axis=1) + h2)
-            count += int(np.count_nonzero(np.log2(1.0 + snr) < r_i))
-            left -= take
+    for i, count in enumerate(counts):
         p_hat[i] = count / mc.num_samples
         ci[i] = wilson_interval(count, mc.num_samples, z)
     return p_hat, ci
@@ -163,52 +236,59 @@ def empirical_outage(plan: Plan, cfg: ScenarioConfig, mc: McSettings):
 
 def empirical_willie_error(plan: Plan, cfg: ScenarioConfig, mc: McSettings,
                            grid_check_fraction: float = 0.01,
-                           grid_points: int = 1000):
+                           grid_points: int = 1000, *,
+                           pool: ThreadPoolExecutor | None = None):
     """Per-slot mean minimum total error rate at the warden, sampled over the
     warden's location error.
 
     A threshold grid re-derives the per-sample minimum on a fraction of the
     samples; the worst closed-form excess over the grid minimum is returned
     as a cross-check statistic (the closed form can only be below the grid by
-    resolution, never above).
+    resolution, never above). The slots run on ``pool`` (``mc.threads(N)``
+    threads when None).
     """
     model = DetectionModel.from_config(cfg)
     n = len(plan.trajectory)
     z = mc.z_value
     eps = math.sqrt(cfg.var_willie)
     h2 = cfg.altitude_H**2
+    offsets = plan.trajectory.waypoints - cfg.willie_est
+    n_checked = min(_SHARD, mc.num_samples,
+                    max(1, int(mc.num_samples * grid_check_fraction)))
+
+    def chunk(lo, hi):
+        kernel = _SlotKernel(mc.num_samples)
+        rows = []
+        for i in range(lo, hi):
+            gain = cfg.beta0 * plan.power.powers[i]
+            total = 0.0
+            total_sq = 0.0
+            excess = -math.inf
+            shards = kernel.shards(_rng(mc.rng_seed, 2 * i + 1), eps, offsets[i], h2)
+            for s, ew_pow in enumerate(shards):
+                np.divide(gain, ew_pow, out=ew_pow)
+                _, xi = min_total_error(ew_pow, model)
+                total += float(np.sum(xi))
+                if s == 0 and grid_check_fraction > 0.0:
+                    excess = _threshold_grid_excess(ew_pow[:n_checked], xi[:n_checked],
+                                                    model, grid_points)
+                xi *= xi
+                total_sq += float(np.sum(xi))
+            rows.append((total, total_sq, excess))
+        return rows
+
+    rows = _run_slots(chunk, n, mc, pool)
     mean_xi = np.empty(n)
     ci = np.empty((n, 2))
-    worst_excess = 0.0
-    for i in range(n):
-        q = plan.trajectory.waypoints[i]
-        p_i = plan.power.powers[i]
-        gen = _rng(mc.rng_seed, 2 * i + 1)
-        total = 0.0
-        total_sq = 0.0
-        checked = False
-        left = mc.num_samples
-        while left > 0:
-            take = min(_SHARD, left)
-            e_w = gen.normal(0.0, eps, size=(take, 2))
-            d = q - cfg.willie_est - e_w
-            ew_pow = cfg.beta0 * p_i / (np.sum(d * d, axis=1) + h2)
-            _, xi = min_total_error(ew_pow, model)
-            total += float(np.sum(xi))
-            total_sq += float(np.sum(xi * xi))
-            if not checked and grid_check_fraction > 0.0:
-                k = min(take, max(1, int(mc.num_samples * grid_check_fraction)))
-                worst_excess = max(
-                    worst_excess,
-                    _threshold_grid_excess(ew_pow[:k], xi[:k], model, grid_points),
-                )
-                checked = True
-            left -= take
+    for i, (total, total_sq, _) in enumerate(rows):
         m = total / mc.num_samples
         var = max(total_sq / mc.num_samples - m * m, 0.0)
         half = z * math.sqrt(var / mc.num_samples)
         mean_xi[i] = m
         ci[i] = (m - half, m + half)
+    # max folds left to right in slot order, so the worker count cannot
+    # change which of two equal or unordered (NaN) values is kept
+    worst_excess = max([0.0] + [excess for _, _, excess in rows])
     return mean_xi, ci, worst_excess
 
 
@@ -376,20 +456,22 @@ def validate_plan(plan: Plan, cfg: ScenarioConfig,
         raise ValueError(
             f"plan has {len(plan.trajectory)} slots, scenario expects {cfg.num_slots_N}"
         )
-    outage, outage_ci = empirical_outage(plan, cfg, mc)
-    xi_bar, xi_ci, grid_excess = empirical_willie_error(plan, cfg, mc)
+    lam_lo = float(np.min(plan.lam))
+    lam_med = float(np.median(plan.lam))
+    with ThreadPoolExecutor(max_workers=mc.threads(len(plan.trajectory))) as pool:
+        outage, outage_ci = empirical_outage(plan, cfg, mc, pool=pool)
+        xi_bar, xi_ci, grid_excess = empirical_willie_error(plan, cfg, mc, pool=pool)
+        ks_lo, ks_med = pool.map(ks_gaussian_approx, (lam_lo, lam_med))
     # MC noise allowance: three standard errors on a bounded variable
     se = np.maximum(xi_ci[:, 1] - xi_bar, 1e-12) / mc.z_value
     outage_ok = bool(np.all(outage <= cfg.rho_b + 1e-12))
     covert_ok = bool(np.all(xi_bar >= (1.0 - cfg.rho_w) - 3.0 * se))
     bound_ok = bool(np.all(xi_bar >= plan.xi_lb - 3.0 * se))
-    lam_lo = float(np.min(plan.lam))
-    lam_med = float(np.median(plan.lam))
     ks_stats = {
         "lambda_min": lam_lo,
-        "ks_at_lambda_min": ks_gaussian_approx(lam_lo),
+        "ks_at_lambda_min": ks_lo,
         "lambda_median": lam_med,
-        "ks_at_lambda_median": ks_gaussian_approx(lam_med),
+        "ks_at_lambda_median": ks_med,
     }
     return ValidationReport(
         outage=outage, outage_ci=outage_ci, outage_ok=outage_ok,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from covertuav import cli
 from covertuav.cli import (
     cmd_run,
     cmd_sweep,
@@ -159,9 +160,45 @@ class TestSweep:
         sweep.write_text("param = T\nvalues = 24 s, 26 s\nschemes = STP\n",
                          encoding="utf-8")
         out1, out2 = tmp_path / "serial", tmp_path / "pool"
-        cmd_sweep(cfg_path, sweep, out1, workers=1)
-        cmd_sweep(cfg_path, sweep, out2, workers=2)
+        cmd_sweep(cfg_path, sweep, out1, workers=1, mc_samples=2_000)
+        cmd_sweep(cfg_path, sweep, out2, workers=2, mc_samples=2_000)
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        with (out2 / "sweep.csv").open() as fh:
+            assert all(r["max_outage_mc"] != "" for r in csv.DictReader(fh))
+
+    @pytest.mark.parametrize("workers, audit_threads", [(0, 0), (1, 0), (2, 1)])
+    def test_pooled_cells_audit_on_one_thread(self, cfg_path, tmp_path, monkeypatch,
+                                              workers, audit_threads):
+        # a k-process sweep must start k audit threads, not k x CPUs; serial
+        # sweeps keep the default. The pool is replaced by an in-process map so
+        # that the cells' settings can be seen.
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        seen = []
+
+        def record(plan, cfg, mc):
+            seen.append(mc.workers)
+            return real_validate(plan, cfg, mc)
+
+        real_validate = cli.validate_plan
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "validate_plan", record)
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("param = T\nvalues = 24 s\nschemes = STP\n", encoding="utf-8")
+        assert cmd_sweep(cfg_path, sweep, tmp_path / "sw", workers=workers,
+                         mc_samples=1_000) == 0
+        assert seen == [audit_threads]
 
     def test_cell_failure_recorded_and_run_continues(self, cfg_path, tmp_path, capsys):
         sweep = tmp_path / "sweep.cfg"
@@ -264,7 +301,13 @@ class TestValidateCommand:
         assert rc == 1
         assert "slots" in capsys.readouterr().err
 
-    def test_uncreatable_out_dir_exits_one(self, cfg_path, run_dir, tmp_path, capsys):
+    def test_uncreatable_out_dir_exits_one(self, cfg_path, run_dir, tmp_path, capsys,
+                                           monkeypatch):
+        # the directory is checked before the audit, which never starts
+        def no_audit(*args, **kwargs):
+            raise AssertionError("validate_plan called before the output dir check")
+
+        monkeypatch.setattr(cli, "validate_plan", no_audit)
         rc = main(["validate", "--plan", str(run_dir / "plan.json"), "--config",
                    str(cfg_path), "--out", blocked_dir(tmp_path), "--mc-samples", "1000"])
         assert rc == 1

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -18,10 +19,13 @@ from covertuav.detection import (
     xi_lower_bound,
 )
 from covertuav.scenario import PowerSchedule, RateSchedule, Trajectory, baseline_config
-from covertuav.sca import Plan, run_jtp
+from covertuav.sca import Plan, run_jtp, run_stp
 from covertuav.validate import (
+    _SHARD,
     BoundAuditReport,
     McSettings,
+    ValidationReport,
+    _rng,
     _threshold_grid_excess,
     bound_audit,
     empirical_outage,
@@ -335,3 +339,127 @@ class TestPlanValidation:
             "outage_probability", "outage_wilson_ci", "willie_error_mean",
             "xi_lower_bound", "passed", "rng_seed", "ks_stats",
         }
+
+
+def reference_validate_report(plan, cfg, mc, grid_check_fraction=0.01, grid_points=1000):
+    """Test oracle: the plan audit as serial per-slot loops with row-wise
+    distances, fresh arrays per shard and a running worst grid excess."""
+    model = DetectionModel.from_config(cfg)
+    n = len(plan.trajectory)
+    z = mc.z_value
+    h2 = cfg.altitude_H**2
+    outage = np.empty(n)
+    outage_ci = np.empty((n, 2))
+    xi_bar = np.empty(n)
+    xi_ci = np.empty((n, 2))
+    worst_excess = 0.0
+    for i in range(n):
+        q = plan.trajectory.waypoints[i]
+        p_i = plan.power.powers[i]
+        gen = _rng(mc.rng_seed, 2 * i)
+        count = 0
+        left = mc.num_samples
+        while left > 0:
+            take = min(_SHARD, left)
+            e_b = gen.normal(0.0, math.sqrt(cfg.var_bob), size=(take, 2))
+            d = q - cfg.bob_est - e_b
+            snr = p_i * cfg.gamma0 / (np.sum(d * d, axis=1) + h2)
+            count += int(np.count_nonzero(np.log2(1.0 + snr) < plan.rates.rates[i]))
+            left -= take
+        outage[i] = count / mc.num_samples
+        outage_ci[i] = wilson_interval(count, mc.num_samples, z)
+
+        gen = _rng(mc.rng_seed, 2 * i + 1)
+        total = total_sq = 0.0
+        checked = False
+        left = mc.num_samples
+        while left > 0:
+            take = min(_SHARD, left)
+            e_w = gen.normal(0.0, math.sqrt(cfg.var_willie), size=(take, 2))
+            d = q - cfg.willie_est - e_w
+            ew_pow = cfg.beta0 * p_i / (np.sum(d * d, axis=1) + h2)
+            _, xi = min_total_error(ew_pow, model)
+            total += float(np.sum(xi))
+            total_sq += float(np.sum(xi * xi))
+            if not checked and grid_check_fraction > 0.0:
+                k = min(take, max(1, int(mc.num_samples * grid_check_fraction)))
+                worst_excess = max(worst_excess, _threshold_grid_excess(
+                    ew_pow[:k], xi[:k], model, grid_points))
+                checked = True
+            left -= take
+        m = total / mc.num_samples
+        half = z * math.sqrt(max(total_sq / mc.num_samples - m * m, 0.0) / mc.num_samples)
+        xi_bar[i] = m
+        xi_ci[i] = (m - half, m + half)
+
+    se = np.maximum(xi_ci[:, 1] - xi_bar, 1e-12) / z
+    lam_lo = float(np.min(plan.lam))
+    lam_med = float(np.median(plan.lam))
+    return ValidationReport(
+        outage=outage, outage_ci=outage_ci,
+        outage_ok=bool(np.all(outage <= cfg.rho_b + 1e-12)),
+        xi_bar=xi_bar, xi_bar_ci=xi_ci, xi_check=plan.xi_lb,
+        covert_ok=bool(np.all(xi_bar >= (1.0 - cfg.rho_w) - 3.0 * se)),
+        bound_ok=bool(np.all(xi_bar >= plan.xi_lb - 3.0 * se)),
+        threshold_grid_excess=worst_excess,
+        ks_stats={
+            "lambda_min": lam_lo,
+            "ks_at_lambda_min": ks_gaussian_approx(lam_lo),
+            "lambda_median": lam_med,
+            "ks_at_lambda_median": ks_gaussian_approx(lam_med),
+        },
+        seed=mc.rng_seed, num_samples=mc.num_samples,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_plans(small_cfg, small_plan):
+    return {"JTP": small_plan, "STP": run_stp(small_cfg)[0]}
+
+
+@pytest.fixture(scope="module")
+def reference_bytes(small_cfg, small_plans):
+    """Oracle report bytes per (scheme, num_samples), computed once."""
+    cache = {}
+
+    def get(scheme, num_samples):
+        if (scheme, num_samples) not in cache:
+            mc = McSettings(num_samples=num_samples, rng_seed=31)
+            rep = reference_validate_report(small_plans[scheme], small_cfg, mc)
+            cache[scheme, num_samples] = json.dumps(rep.to_dict())
+        return cache[scheme, num_samples]
+    return get
+
+
+class TestSlotKernel:
+    # 1000 and 20 000 samples are one short shard; _SHARD + 1 and
+    # 2 _SHARD + 777 end in a short tail shard in the reused buffers
+    @pytest.mark.parametrize("num_samples", [1_000, 20_000, _SHARD + 1, 2 * _SHARD + 777])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("scheme", ["JTP", "STP"])
+    def test_report_bytes_equal_reference(self, small_cfg, small_plans, reference_bytes,
+                                          scheme, workers, num_samples):
+        mc = McSettings(num_samples=num_samples, rng_seed=31, workers=workers)
+        got = json.dumps(validate_plan(small_plans[scheme], small_cfg, mc).to_dict())
+        assert got == reference_bytes(scheme, num_samples)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            McSettings(workers=-1)
+
+    def test_threads_capped_at_slot_count(self):
+        assert McSettings(workers=3).threads(2) == 2
+        assert McSettings(workers=1).threads(300) == 1
+        assert 1 <= McSettings().threads(300) <= 300
+
+    def test_memory_bounded_at_a_million_samples(self, small_cfg, small_plan):
+        # two threads, each with one shard's buffers and min_total_error's
+        # temporaries (about 19 MiB a thread): measured peak 37.5 MiB
+        mc = McSettings(num_samples=1_000_000, rng_seed=5, workers=2)
+        tracemalloc.start()
+        try:
+            validate_plan(small_plan, small_cfg, mc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 42 * 2**20
