@@ -667,11 +667,13 @@ def exact_feasible(margins: dict, cfg: ScenarioConfig) -> bool:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _check_expansion(exp: ExpansionPoint, cfg: ScenarioConfig, model: DetectionModel):
+def _check_expansion(exp: ExpansionPoint, cfg: ScenarioConfig, model: DetectionModel,
+                     margins: dict | None):
     n = exp.num_slots
     if n != cfg.num_slots_N:
         raise InfeasibleExpansionError("layout", f"{n} slots vs scenario {cfg.num_slots_N}")
-    margins = exact_feasibility(exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model)
+    if margins is None:
+        margins = exact_feasibility(exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model)
     family = first_violation(margins, cfg)
     if family == "power":
         raise InfeasibleExpansionError(family, "power caps violated")
@@ -683,14 +685,17 @@ def _check_expansion(exp: ExpansionPoint, cfg: ScenarioConfig, model: DetectionM
 
 
 def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
-                        fixed_trajectory: bool = False) -> ConvexSubproblem:
+                        fixed_trajectory: bool = False,
+                        margins: dict | None = None) -> ConvexSubproblem:
     """Build the convex restricted subproblem at a feasible expansion point.
 
     With fixed_trajectory the waypoints are frozen at the expansion trajectory
     and only power, rate and u1 variables remain (the power-only scheme).
+    margins, when given, are exact_feasibility's margins at exp, which are then
+    checked rather than computed again.
     """
     model = DetectionModel.from_config(cfg)
-    _check_expansion(exp, cfg, model)
+    _check_expansion(exp, cfg, model, margins)
 
     n = cfg.num_slots_N
     traj_free = (not fixed_trajectory) and n >= 2
@@ -753,7 +758,10 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
 
     scale = np.ones(lay.n_var)
     scale[lay.qx[free]] = scale[lay.qy[free]] = 100.0
-    scale[lay.p] = max(cfg.p_avg_max, 1e-9)
+    # each power in units of its own expansion value: powers can sit many
+    # decades under the budget, where a budget-sized unit leaves the Newton
+    # system unable to resolve them
+    scale[lay.p] = np.maximum(exp.p_tilde.powers, 2.0 * P_FLOOR)
     scale[lay.r] = 1.0
     scale[lay.u1] = max(float(np.median(exp.u1_tilde)), 1e-6)
 

@@ -2,18 +2,28 @@
 
 The initializer flies the max-speed line-segment path (out to the receiver's
 estimated position, hover, max-speed leg to the landing point, with a midway
-turn when the flight period is too short to reach the receiver), then finds
-the largest uniform transmit power whose covertness residuals hold on that
-path and backs the per-slot rates out of the outage inequality in closed form.
+turn when the flight period is too short to reach the receiver). Every slot
+then gets the largest power its own covertness rows allow at the start the
+subproblem is handed, with the auxiliary variable u1 just above the smallest
+value covertness row E accepts there. When those caps overrun the average
+budget, the powers are water-filled under it. Per-slot rates come out of the
+outage inequality in closed form. The restriction's rate surrogate can at
+most double a slot's SNR term per pass, so a start below these caps would
+spend its first passes climbing; on the line path with a slack budget the
+start is the power-only scheme's limit.
 
 Each outer iteration assembles the convex restriction at the current point,
 solves it from there with the previous solve's duals, re-verifies the exact
-constraints, and repeats until the mean rate stops improving, both in
-absolute terms (sca_tolerance) and relative to the rate itself. Restriction
-plus tangency make the objective nondecreasing and every iterate feasible for
-the original problem, so no damping or trust region is needed. A solve that
-stops short ("stalled" or "max_iters") ends the loop; if it ends below its
-start's rate, the loop keeps the start.
+constraints once (the margins go on to the next assembly and to the plan),
+and repeats until two consecutive SCA iterates' mean rates agree, both in
+absolute terms (sca_tolerance) and relative to the rate itself. The start is
+not an SCA iterate, so the first solve's step never stops the loop.
+Restriction plus tangency make the objective nondecreasing and every iterate
+feasible for the original problem, so no damping or trust region is needed.
+A solve that stops short ("stalled" or "max_iters") ends the loop. So does a
+solve that ends below its start's rate, and the loop keeps the start: cut
+short, the solve says nothing more; optimal, it leaves the start within the
+solver's tolerance of the restriction's optimum, a fixed point of the loop.
 """
 
 from __future__ import annotations
@@ -44,11 +54,12 @@ from .scenario import (
     Trajectory,
 )
 
-POWER_FLOOR_INIT = 1e-8  # W, smallest uniform power the initializer will emit
-# Converged also needs the last step within this fraction of the ACTR: early
-# passes roughly double a small ACTR, so sca_tolerance alone would stop a
-# scenario that starts below it after one solve.
-CONVERGED_RTOL = 1e-2
+# Converged also needs the last step within this fraction of the ACTR. From a
+# start at the covertness caps JTP's first trajectory steps are small (a few
+# 1e-6 on small scenarios) while its limit is still about 1e-3 of the ACTR
+# away, so a looser relative test stops it short.
+CONVERGED_RTOL = 1e-3
+BISECTION_STEPS = 200
 # solver statuses that end the outer loop at the solve's (feasible) iterate
 _SOLVE_STOPS = {"max_iters": "subproblem_newton_cap", "stalled": "subproblem_stalled"}
 
@@ -206,39 +217,82 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 # initial feasible point
 # ---------------------------------------------------------------------------
 
-def _covert_start_ok(p: float, lam: np.ndarray, model: DetectionModel,
-                     rho_w: float) -> bool:
-    """Does uniform power p leave the covertness rows strictly satisfied?
+def _start_u1(ln_a):
+    """u1 at the start: just above ln_a^2, where covertness row E (ln_a -
+    sqrt(u1) at the start) is strictly negative, and at least the
+    subproblem's start floor 2 U_FLOOR."""
+    return np.maximum((ln_a * (1.0 + 1e-7) + 1e-12) ** 2, 2.0 * U_FLOOR)
+
+
+def _ln_a(p, lam, model: DetectionModel):
+    return np.log1p(model.beta1 * p / (lam + 2.0 + model.h2_over_var))
+
+
+def _covert_start_ok(p, lam: np.ndarray, model: DetectionModel,
+                     rho_w: float) -> np.ndarray:
+    """Per slot: does power p[i] leave slot i's covertness rows strictly satisfied?
 
     Checks the assembled rows at the start the initializer hands the
-    subproblem: the auxiliary variable at ln(1 + beta1 p / (lam + 2 +
-    H^2/var)), raised to its floor 2 U_FLOOR where it is smaller, and the
-    tangent-bound slack at its optimum lam + 1. Residual D must hold with a
-    1e-6 margin. Residual E must hold with a 1e-7 margin at the unfloored
-    auxiliary variable, where it is largest (E degenerates when the log
-    reaches 1, which lax covertness levels allow). The exact
-    error-rate bound must hold as well. Each piece is monotone in p across
-    the admissible power range, so bisection applies.
+    subproblem: u1 at _start_u1 and the tangent-bound slack at its optimum
+    lam + 1, where row E holds by construction. Row D, (c - 1) sqrt(u1) +
+    ln(1 + beta1 var p / H^2) - k_w sqrt(lam + 1) with c = sqrt(pi/2)
+    sqrt(lam + 1) > 1, must hold with a 1e-6 margin, and the exact error-rate
+    bound with 1e-9. Both only tighten as p grows, so bisection applies.
     """
-    ln_a = np.log1p(model.beta1 * p / (lam + 2.0 + model.h2_over_var))
+    sq = np.sqrt(lam + 1.0)
     ln_b = np.log1p(model.beta1 * model.var_willie * p / model.altitude_H**2)
-    c = math.sqrt(math.pi / 2.0) * np.sqrt(lam + 1.0)
     k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w
-    u1 = np.maximum(ln_a, 2.0 * U_FLOOR)
-    res_d = float(np.max((c - 1.0) * np.sqrt(u1) + ln_b - k_w * np.sqrt(lam + 1.0)))
-    res_e = float(np.max(ln_a - np.sqrt(ln_a)))
-    exact = float(np.max((1.0 - rho_w) - xi_lower_bound(lam, p, model)))
-    return res_d <= -1e-6 and res_e <= -1e-7 and exact <= -1e-9
+    res_d = ((math.sqrt(math.pi / 2.0) * sq - 1.0) * np.sqrt(_start_u1(_ln_a(p, lam, model)))
+             + ln_b - k_w * sq)
+    exact = (1.0 - rho_w) - xi_lower_bound(lam, p, model)
+    return (res_d <= -1e-6) & (exact <= -1e-9)
 
 
-def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
-    """Line-segment trajectory plus the largest covert uniform power.
+def _covert_caps(p_hi: float, lam: np.ndarray, model: DetectionModel,
+                 rho_w: float) -> np.ndarray:
+    """The largest power in [0, p_hi] that passes _covert_start_ok, per slot,
+    to 1e-12 relative (or to a thousandth of P_FLOOR, below which no power
+    matters)."""
+    lo, hi = np.zeros_like(lam), np.full_like(lam, p_hi)
+    top = _covert_start_ok(hi, lam, model, rho_w)
+    for _ in range(BISECTION_STEPS):
+        if np.all(hi - lo <= 1e-12 * hi + 1e-3 * P_FLOOR):
+            break
+        mid = 0.5 * (lo + hi)
+        ok = _covert_start_ok(mid, lam, model, rho_w)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return np.where(top, p_hi, lo)
 
-    The power is bisected against the subproblem's own covertness residuals
-    (slightly stricter than the closed-form error-rate bound, which is implied
-    by them), so the assembled restriction is strictly feasible at the start.
-    Rates then come from the outage inequality in closed form, with its two
-    slacks a millionth of their scale above their optima.
+
+def _water_fill(total: float, level: np.ndarray, p_min: np.ndarray,
+                cap: np.ndarray) -> np.ndarray:
+    """clip(nu - level, p_min, cap) at the largest nu whose sum stays within
+    total; needs sum(p_min) <= total."""
+    lo, hi = float(np.min(p_min + level)), float(np.max(cap + level))
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.clip(mid - level, p_min, cap)) <= total:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(lo - level, p_min, cap)
+
+
+def initial_point(cfg: ScenarioConfig, margins: dict | None = None) -> ExpansionPoint:
+    """Line-segment trajectory with every slot at its own covertness cap.
+
+    Each slot's power is bisected against the subproblem's own covertness
+    rows at the start (slightly stricter than the closed-form error-rate
+    bound, which they imply), with u1 just above the square of
+    ln(1 + beta1 P / (lam + 2 + H^2/var)), the smallest value row E accepts,
+    so the assembled restriction is strictly feasible at the start. When the
+    caps overrun the average budget, the powers are water-filled under it
+    against the outage denominator, never below the power that carries the
+    rate floor. Rates then come from the outage inequality in closed form,
+    with its two slacks a millionth of their scale above their optima. A
+    start that cannot be built raises InfeasibleScenarioError naming the
+    slot or the budget that breaks it. margins, when given, receives the
+    start's exact_feasibility margins, which the outer loop hands on.
     """
     for name in ("p_avg_max", "p_peak_max"):
         if getattr(cfg, name) == 0.0:
@@ -247,45 +301,18 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
                 f"rate at or above the floor {RATE_FLOOR:g} bits/s/Hz is feasible")
     budget = min(("p_avg_max", cfg.p_avg_max), ("p_peak_max", cfg.p_peak_max),
                  key=lambda item: item[1])
-    budget_text = f"{budget[0]} = {budget[1]:g} W"
-    p_cap = budget[1] * (1.0 - 1e-6)
-    if p_cap < 2.0 * P_FLOOR:
+    if budget[1] * (1.0 - 1e-6) < 2.0 * P_FLOOR:
         # the subproblem keeps every power above P_FLOOR and starts at 2 P_FLOOR
         raise InfeasibleScenarioError(
-            f"power budget below the planner's power floor ({budget_text}; "
-            f"the planner needs more than {2.0 * P_FLOOR:g} W)")
+            f"power budget below the planner's power floor ({budget[0]} = "
+            f"{budget[1]:g} W; the planner needs more than {2.0 * P_FLOOR:g} W)")
     traj = line_segment_trajectory(cfg)
     model = DetectionModel.from_config(cfg)
     lam = lambda_of(traj.waypoints, cfg.willie_est, cfg.var_willie)
     n = cfg.num_slots_N
 
-    if _covert_start_ok(p_cap, lam, model, cfg.rho_w):
-        p0 = p_cap
-    else:
-        lo, hi = 0.0, p_cap
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _covert_start_ok(mid, lam, model, cfg.rho_w):
-                lo = mid
-            else:
-                hi = mid
-        p0 = lo
-    if p0 < POWER_FLOOR_INIT:
-        # raise to the nominal floor only when the floor itself stays covert
-        # (tight wardens can pin the admissible uniform power below it), and
-        # never above the power budget
-        if _covert_start_ok(POWER_FLOOR_INIT, lam, model, cfg.rho_w):
-            floor = POWER_FLOOR_INIT
-        else:
-            floor = 100.0 * P_FLOOR
-        p0 = max(p0, min(floor, p_cap))
-
-    powers = np.full(n, p0)
-    u1 = np.maximum(
-        np.log1p(model.beta1 * powers / (lam + 2.0 + model.h2_over_var)),
-        2.0 * U_FLOOR,
-    )
-
+    # the outage denominator with both slacks a millionth of their scale above
+    # their optima; the rate floor within it needs at least p_min
     eps2 = cfg.var_bob
     dist2_b = np.sum((traj.waypoints - cfg.bob_est) ** 2, axis=1)
     cone = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2_b)
@@ -294,25 +321,46 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
     k_den = (2.0 * eps2 + s_b * (cone + 1e-6 * np.maximum(cone, 1.0))
              + a_b * (eps2 + 1e-6 * max(eps2, 1.0))
              + dist2_b + cfg.altitude_H**2)
+    snr_floor = np.expm1(math.log(2.0) * RATE_FLOOR * (1.0 + 1e-6) / (1.0 - 1e-9))
+    p_min = np.maximum(k_den * snr_floor / cfg.gamma0 * (1.0 + 1e-6), 2.5 * P_FLOOR)
+
+    p_hi = cfg.p_peak_max * (1.0 - 1e-6)
+    cap = _covert_caps(p_hi, lam, model, cfg.rho_w)
+    i = int(np.argmin(cap / p_min))
+    if cap[i] < p_min[i]:
+        what = (f" at the power budget (p_peak_max = {cfg.p_peak_max:g} W): it"
+                if cap[i] == p_hi else ": covertness")
+        raise InfeasibleScenarioError(
+            f"no feasible initial plan{what} caps slot {i}'s power at "
+            f"{cap[i]:.3e} W, below the {p_min[i]:.3e} W that carries the rate floor "
+            f"{RATE_FLOOR:g} bits/s/Hz within outage")
+    total = n * cfg.p_avg_max * (1.0 - 1e-6)
+    if np.sum(p_min) > total:
+        raise InfeasibleScenarioError(
+            f"no feasible initial plan at the power budget (p_avg_max = "
+            f"{cfg.p_avg_max:g} W): carrying the rate floor {RATE_FLOOR:g} bits/s/Hz "
+            f"within outage in every slot needs a mean power of {np.mean(p_min):.3e} W")
+    if np.sum(cap) <= total:
+        powers = cap
+    else:
+        powers = _water_fill(total, k_den / cfg.gamma0, p_min, cap)
+
     rates = np.log2(1.0 + cfg.gamma0 * powers / k_den) * (1.0 - 1e-9)
     rates = np.maximum(rates, RATE_FLOOR * (1.0 + 1e-6))
-
     exp = ExpansionPoint(
         traj_tilde=traj,
         p_tilde=PowerSchedule(powers),
         r_tilde=RateSchedule(rates),
-        u1_tilde=u1,
+        u1_tilde=_start_u1(_ln_a(powers, lam, model)),
     )
-    margins = exact_feasibility(traj, exp.p_tilde, exp.r_tilde, cfg, model)
-    if not exact_feasible(margins, cfg):
-        worst_cov = float(np.min(margins["covertness"]))
-        worst_out = float(np.min(margins["outage"]))
-        # at the budget the power itself is what falls short
-        cause = f" at the power budget ({budget_text})" if p0 == p_cap else ""
+    found = exact_feasibility(traj, exp.p_tilde, exp.r_tilde, cfg, model)
+    if not exact_feasible(found, cfg):
         raise InfeasibleScenarioError(
-            f"no feasible initial plan{cause}: worst covertness margin "
-            f"{worst_cov:.3e}, worst outage margin {worst_out:.3e}"
-        )
+            f"no feasible initial plan: worst covertness margin "
+            f"{float(np.min(found['covertness'])):.3e}, worst outage margin "
+            f"{float(np.min(found['outage'])):.3e}")
+    if margins is not None:
+        margins.update(found)
     return exp
 
 
@@ -320,9 +368,8 @@ def initial_point(cfg: ScenarioConfig) -> ExpansionPoint:
 # the outer loop
 # ---------------------------------------------------------------------------
 
-def _make_plan(exp: ExpansionPoint, cfg: ScenarioConfig, model: DetectionModel,
+def _make_plan(exp: ExpansionPoint, margins: dict, cfg: ScenarioConfig,
                status: str) -> Plan:
-    margins = exact_feasibility(exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model)
     return Plan(
         trajectory=exp.traj_tilde,
         power=exp.p_tilde,
@@ -341,8 +388,14 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
              settings: ScaSettings | None, start: ExpansionPoint | None):
     settings = settings or ScaSettings()
     model = DetectionModel.from_config(cfg)
-    exp = start if start is not None else initial_point(cfg)
+    if start is None:
+        margins = {}
+        exp = initial_point(cfg, margins)
+    else:
+        exp = start
+        margins = exact_feasibility(exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model)
 
+    # exp's margins are computed once, where exp is accepted, and handed on
     objectives = [exp.r_tilde.mean]
     points = [exp]
     records = []
@@ -350,7 +403,8 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
     reason = "outer_iteration_cap"
     for _ in range(settings.max_outer):
         try:
-            sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed_trajectory)
+            sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed_trajectory,
+                                      margins=margins)
         except InfeasibleExpansionError as exc:
             if not records:
                 raise InfeasibleScenarioError(
@@ -361,17 +415,20 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
         records.append(SolveRecord.of(res))
         duals = res.duals
         traj, powers, rates, u1 = sub.unpack(res.variables)
-        if res.status in _SOLVE_STOPS and rates.mean < objectives[-1]:
-            # a solve cut short may end below its start, which is feasible
-            # by construction: keep the start
+        if rates.mean < objectives[-1]:
+            # a solve may end below its start, which is feasible by
+            # construction: keep the start. One cut short says so; an optimal
+            # one leaves the start within the solver's tolerance of the
+            # restriction's optimum, a fixed point of the loop
             objectives.append(objectives[-1])
             points.append(exp)
-            reason = _SOLVE_STOPS[res.status]
+            reason = _SOLVE_STOPS.get(res.status, "converged")
             break
-        margins = exact_feasibility(traj, powers, rates, cfg, model)
-        if not exact_feasible(margins, cfg):
+        candidate = exact_feasibility(traj, powers, rates, cfg, model)
+        if not exact_feasible(candidate, cfg):
             reason = "feasibility_regression"
             break
+        margins = candidate
         exp = ExpansionPoint(
             traj_tilde=traj, p_tilde=powers, r_tilde=rates,
             u1_tilde=np.maximum(u1, 2.0 * U_FLOOR),
@@ -381,12 +438,14 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
         if res.status in _SOLVE_STOPS:
             reason = _SOLVE_STOPS[res.status]
             break
+        # the start is not an SCA iterate: judge steps between two solves
         step = abs(objectives[-1] - objectives[-2])
-        if step <= cfg.sca_tolerance and step <= CONVERGED_RTOL * objectives[-1]:
+        if (len(records) >= 2 and step <= cfg.sca_tolerance
+                and step <= CONVERGED_RTOL * objectives[-1]):
             reason = "converged"
             break
 
-    plan = _make_plan(exp, cfg, model, status=reason)
+    plan = _make_plan(exp, margins, cfg, status=reason)
     trace = ScaTrace(
         objectives=objectives,
         expansion_points=points,

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from covertuav.scenario import baseline_config
+
+# one profile for every property test: reproducible draws, no time limit
+settings.register_profile("covertuav", derandomize=True, deadline=None)
+settings.load_profile("covertuav")
 
 
 @pytest.fixture(scope="session")

@@ -477,13 +477,13 @@ class TestAssembledSubproblem:
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_non_strict_warm_start_rejected(self, small_cfg, fixed):
-        # at the start, row E is ln_a - sqrt(u1) with ln_a the construction
-        # value of u1; a warm-start u1 just below ln_a^2 breaks it at one
-        # slot, and the start is the warm start or nothing
+        # at the start, row E is ln_a - sqrt(u1), and the initializer seeds
+        # u1 just above ln_a^2; a warm-start u1 a millionth below that breaks
+        # it at one slot, and the start is the warm start or nothing
         exp = initial_point(small_cfg)
         u1 = exp.u1_tilde.copy()
-        assert u1[5] ** 2 > 2.0 * U_FLOOR  # the start does not floor it
-        u1[5] = u1[5] ** 2 * (1.0 - 1e-9)
+        u1[5] *= 1.0 - 1e-6
+        assert u1[5] > 2.0 * U_FLOOR  # the start does not floor it
         nudged = ExpansionPoint(
             traj_tilde=exp.traj_tilde, p_tilde=exp.p_tilde, r_tilde=exp.r_tilde,
             u1_tilde=u1,
@@ -584,7 +584,7 @@ class TestSlotKernel:
     against the reference oracles, the derivatives against central
     differences."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(case=st.integers(0, 3), slot_frac=st.floats(0.0, 1.0, exclude_max=True),
            seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.0, 0.05, 0.3]),
            last=st.booleans())

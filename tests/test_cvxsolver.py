@@ -413,8 +413,8 @@ class TestRobustness:
         # it: a change to any Newton iterate moves these figures
         study = cfg.with_updates(flight_period_T=200.0)
         exp = initial_point(study)
-        for fixed, iterations, objective in ((False, 38, -0.0003340113868069986),
-                                             (True, 36, -0.00033385439975260826)):
+        for fixed, iterations, objective in ((False, 22, -0.005613511702263619),
+                                             (True, 16, -0.005611951999339344)):
             sub = assemble_subproblem(exp, study, fixed_trajectory=fixed)
             res = solve(sub, settings=ScaSettings().solver)
             assert res.status == "optimal"
@@ -479,14 +479,14 @@ def newton_steps(small_cfg):
 
 
 class TestLineSearch:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(case=st.integers(0, 3), quarter_log2_t=st.integers(-8, 16),
+    @settings(max_examples=300)
+    @given(case=st.integers(0, 3), quarter_log2_t=st.integers(-8, 48),
            nan_var=st.floats(0.0, 1.0, exclude_max=True),
            quarter_log2_cap=st.one_of(st.none(), st.integers(-16, 16)))
     def test_trial_values_match_residual_values(self, newton_steps, case,
                                                 quarter_log2_t, nan_var,
                                                 quarter_log2_cap):
-        # trials t = 2^(k/4) along a Newton step (t >= 4 leaves the domain),
+        # trials t = 2^(k/4) along a Newton step (the longest leave the domain),
         # some with a family that turns NaN past a cap on one variable
         sub, step = newton_steps[case]
         families = list(sub.families)
@@ -508,7 +508,7 @@ class TestLineSearch:
         for sub, step in newton_steps:
             work = _Work(sub)
             assert _trial_values(work, sub.start + 2.0 ** -24 * step) is not None
-            assert _trial_values(work, sub.start + 16.0 * step) is None
+            assert _trial_values(work, sub.start + 2.0 ** 12 * step) is None
 
     @pytest.mark.parametrize("x0", [0.5, 1.0, 3.9])
     def test_nan_outside_the_domain_is_never_accepted(self, x0):

@@ -1,14 +1,24 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from test_cvxsolver import dual_tol
 
-from covertuav import cvxsolver
-from covertuav.convexify import assemble_subproblem, exact_feasibility, exact_feasible
+from covertuav import convexify, cvxsolver, sca
+from covertuav.convexify import (
+    P_FLOOR,
+    U_FLOOR,
+    assemble_subproblem,
+    exact_feasibility,
+    exact_feasible,
+)
 from covertuav.cvxsolver import SolverSettings
-from covertuav.detection import DetectionModel, lambda_of
-from covertuav.scenario import baseline_config
+from covertuav.detection import DetectionModel, lambda_of, xi_lower_bound
+from covertuav.scenario import RATE_FLOOR, baseline_config
 from covertuav.sca import (
     InfeasibleScenarioError,
     ScaSettings,
@@ -63,16 +73,45 @@ class TestLineSegment:
         assert np.allclose(traj.waypoints, cfg.bob_est)
 
 
+def start_rows(cfg, powers, lam):
+    """(u1, row D, row E, exact covertness margin) per slot at the start the
+    initializer hands the subproblem, for the given powers: u1 just above
+    ln_a^2, with ln_a = ln(1 + beta1 P / (lam + 2 + H^2/var)), and at least
+    2 U_FLOOR; the tangent-bound slack at its optimum lam + 1."""
+    model = DetectionModel.from_config(cfg)
+    ln_a = np.log1p(model.beta1 * powers / (lam + 2.0 + model.h2_over_var))
+    u1 = np.maximum((ln_a * (1.0 + 1e-7) + 1e-12) ** 2, 2.0 * U_FLOOR)
+    sq = np.sqrt(lam + 1.0)
+    k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * cfg.rho_w
+    ln_b = np.log1p(model.beta1 * cfg.var_willie * powers / cfg.altitude_H**2)
+    row_d = (math.sqrt(math.pi / 2.0) * sq - 1.0) * np.sqrt(u1) + ln_b - k_w * sq
+    row_e = ln_a - np.sqrt(u1)
+    margin = xi_lower_bound(lam, powers, model) - (1.0 - cfg.rho_w)
+    return u1, row_d, row_e, margin
+
+
+def outage_denominator(cfg, waypoints):
+    """The initializer's closed-form outage denominator, both slacks a
+    millionth of their scale above their optima."""
+    eps2 = cfg.var_bob
+    dist2 = np.sum((waypoints - cfg.bob_est) ** 2, axis=1)
+    cone = np.sqrt(2.0 * eps2**2 + 2.0 * eps2 * dist2)
+    return (2.0 * eps2
+            + math.sqrt(-2.0 * math.log(cfg.rho_b)) * (cone + 1e-6 * np.maximum(cone, 1.0))
+            - math.log(cfg.rho_b) * (eps2 + 1e-6 * max(eps2, 1.0))
+            + dist2 + cfg.altitude_H**2)
+
+
 class TestInitialPoint:
     def test_u1_construction_formula(self, cfg):
-        # the auxiliary variable seeds exactly as
-        # ln(1 + beta1 P / (lam + 2 + H^2/var))
+        # u1 seeds just above ln_a^2, the smallest value row E (ln_a -
+        # sqrt(u1) at the start) accepts, and not below 2 U_FLOOR
         exp = initial_point(cfg)
-        model = DetectionModel.from_config(cfg)
         lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
-        expect = np.log1p(model.beta1 * exp.p_tilde.powers
-                          / (lam + 2.0 + model.h2_over_var))
-        assert np.allclose(exp.u1_tilde, expect, rtol=0.0, atol=0.0)
+        u1, _, row_e, _ = start_rows(cfg, exp.p_tilde.powers, lam)
+        assert np.array_equal(exp.u1_tilde, u1)
+        assert np.all(row_e < 0.0)
+        assert np.all(exp.u1_tilde >= 2.0 * U_FLOOR)
 
     def test_assembled_residuals_nonpositive(self, small_cfg):
         sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
@@ -87,17 +126,46 @@ class TestInitialPoint:
         p_lax = initial_point(baseline_config(rho_w=0.999)).p_tilde.powers[0]
         assert p_strict < p_mid < p_lax
 
-    def test_uniform_power(self, cfg):
+    @pytest.mark.parametrize("overrides", [
+        {},  # slack budget: every slot at its own cap
+        dict(flight_period_T=200.0, gamma0=1e10, p_avg_max=5e-9),  # water-filled
+    ])
+    def test_power_at_per_slot_caps(self, overrides):
+        # every slot sits at its covertness cap (a millionth more power breaks
+        # row D's 1e-6 margin or the exact bound's 1e-9), at the peak cap, or,
+        # when the budget binds, at a common water level or at the power that
+        # carries the rate floor
+        cfg = baseline_config(**overrides)
         exp = initial_point(cfg)
-        assert np.ptp(exp.p_tilde.powers) == 0.0
+        p = exp.p_tilde.powers
+        lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
+        _, row_d, _, margin = start_rows(cfg, p, lam)
+        assert np.all(row_d <= -1e-6) and np.all(margin >= 1e-9)
+        _, row_d_up, _, margin_up = start_rows(cfg, p * (1.0 + 1e-6), lam)
+        at_cap = (row_d_up > -1e-6) | (margin_up < 1e-9)
+        at_peak = p == cfg.p_peak_max * (1.0 - 1e-6)
+        if np.mean(p) < cfg.p_avg_max * (1.0 - 1e-5):
+            assert np.all(at_cap | at_peak)
+            return
+        # water-filling: nu = P + k/gamma0 on the slots between the floor and
+        # their caps, at least that on capped slots, at most on floored ones
+        level = outage_denominator(cfg, exp.traj_tilde.waypoints) / cfg.gamma0
+        snr_floor = np.expm1(math.log(2.0) * RATE_FLOOR * (1.0 + 1e-6) / (1.0 - 1e-9))
+        p_min = np.maximum(level * snr_floor * (1.0 + 1e-6), 2.5 * P_FLOOR)
+        at_min = p <= p_min * (1.0 + 1e-12)
+        free = ~(at_cap | at_peak | at_min)
+        assert free.any() and at_min.any()
+        nu = p[free] + level[free]
+        assert np.ptp(nu) <= 1e-9 * nu.max()
+        assert np.all(p[at_cap | at_peak] + level[at_cap | at_peak] <= nu.max() * (1 + 1e-9))
+        assert np.all(p[at_min] + level[at_min] >= nu.min() * (1 - 1e-9))
 
     def test_sub_floor_binding_power_stays_feasible(self):
-        # a low-uncertainty warden pins the admissible uniform power below
-        # the nominal 1e-8 W floor; the floor must not be forced through
+        # a low-uncertainty warden caps the start's power hardest; the
+        # assembled restriction must still be strictly feasible there
         cfg = baseline_config(flight_period_T=250.0,
                               noise_uncertainty_rho=10.0 ** 0.1)
         exp = initial_point(cfg)
-        assert float(exp.p_tilde.powers[0]) < 1e-8
         sub = assemble_subproblem(exp, cfg)
         assert float(np.max(sub.eval_values(sub.start))) < 0.0
 
@@ -139,14 +207,77 @@ class TestScaLoop:
         assert np.allclose(stp_plan.trajectory.waypoints, line.waypoints)
 
     def test_small_rate_not_converged_after_one_solve(self):
-        # criterion 11's 1 dB noise-uncertainty case starts near 6.5e-5
-        # bits/s/Hz, under sca_tolerance; its early passes still roughly
-        # double the rate
+        # the start is not an SCA iterate, so its step never stops the loop;
+        # from a start at the covertness caps JTP's first steps are small
+        # while its limit is still far, and the stop must not cut it short of
+        # where the uniform start's runs ended (0.0107527 at T = 250 s;
+        # 0.0052673 for STP on criterion 11's 1 dB case)
+        cfg = baseline_config(flight_period_T=250.0)
+        plan, trace = run_jtp(cfg)
+        assert trace.subproblem_solves > 1
+        assert trace.stop_reason == "converged"
+        assert plan.actr >= 0.0107527
         cfg = baseline_config(flight_period_T=250.0, noise_uncertainty_rho=10.0 ** 0.1)
         plan, trace = run_stp(cfg)
         assert trace.subproblem_solves > 1
         assert trace.stop_reason == "converged"
-        assert plan.actr > 1e-3
+        assert plan.actr >= 0.0052673
+
+    def test_stp_start_is_its_limit(self, cfg):
+        # on the line path with a slack budget, every slot at its own
+        # covertness cap is already the power-only scheme's limit
+        plan, trace = run_stp(cfg)
+        assert trace.stop_reason == "converged"
+        assert abs(trace.objectives[0] - plan.actr) <= 1e-6 * plan.actr
+
+    @pytest.mark.parametrize("overrides", [dict(rho_w=0.01),
+                                           dict(noise_uncertainty_rho=1.1)])
+    def test_strict_wardens_plan(self, overrides):
+        # a uniform start could not carry the rate floor far from the
+        # receiver under these wardens; per-slot caps can
+        cfg = baseline_config(**overrides)
+        model = DetectionModel.from_config(cfg)
+        for runner in (run_jtp, run_stp):
+            plan, trace = runner(cfg)
+            assert plan.feasible and trace.stop_reason == "converged"
+            for exp in trace.expansion_points:
+                assert exact_feasible(exact_feasibility(
+                    exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model), cfg)
+            assert np.all(np.diff(trace.objectives) >= 0.0)
+
+    @pytest.mark.parametrize("runner", [run_jtp, run_stp])
+    def test_powers_far_under_the_budget_solve(self, runner):
+        # covertness caps these powers near 1.5e-9 W, almost eight decades under
+        # p_avg_max: each power is scaled by its own expansion value, and a
+        # budget-sized unit left the first JTP solve at its Newton cap
+        cfg = baseline_config(
+            flight_period_T=30.0, q_init=(0.01, 0.001),
+            q_final=(102.67393002082454, -9.277313668400806),
+            bob_est=(-85.40136060214125, 0.011),
+            willie_est=(145.32978766226177, 92.64277968580657),
+            var_bob=1.0, var_willie=1.0, gamma0=39762747.42703589,
+            p_avg_max=0.1, p_peak_max=0.1, noise_uncertainty_rho=10.0 ** 0.1,
+            rho_b=0.08409253489731187, rho_w=1e-4)
+        plan, trace = runner(cfg)
+        assert np.max(plan.power.powers) < 1e-7 * cfg.p_avg_max
+        assert plan.feasible and trace.stop_reason == "converged"
+        assert all(rec.status == "optimal" for rec in trace.solves)
+
+    @pytest.mark.parametrize("runner", [run_jtp, run_stp])
+    def test_one_exact_feasibility_pass_per_iterate(self, small_cfg, monkeypatch, runner):
+        # the start and each solve's plan are checked once; the next
+        # assembly and the plan reuse those margins
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exact_feasibility(*args, **kwargs)
+
+        monkeypatch.setattr(convexify, "exact_feasibility", counted)
+        monkeypatch.setattr(sca, "exact_feasibility", counted)
+        plan, trace = runner(small_cfg)
+        assert trace.stop_reason == "converged"
+        assert len(calls) == trace.subproblem_solves + 1
 
     @pytest.mark.parametrize("runner", [run_jtp, run_stp])
     def test_stalled_solve_stops_the_loop(self, small_cfg, runner):
@@ -313,7 +444,9 @@ class TestInfeasibleScenario:
             bob_est=(-10.0, 30.0), willie_est=(0.1, 0.1), var_willie=1e-4,
             gamma0=1e-2,
         )
-        with pytest.raises(InfeasibleScenarioError):
+        with pytest.raises(InfeasibleScenarioError,
+                           match=r"^no feasible initial plan: covertness caps slot \d+'s "
+                                 r"power at .* W, below the .* W that carries the rate floor"):
             initial_point(cfg)
 
     @pytest.mark.parametrize("budget", ["p_avg_max", "p_peak_max"])
@@ -339,12 +472,26 @@ class TestInfeasibleScenario:
             assert msg.startswith(reason)
             assert f"({budget} = {value:g} W" in msg
 
+    def test_tiny_average_budget_plans(self):
+        # at T = 300 s the long hover keeps the rate floor's mean power
+        # under a 1e-9 W average budget
+        cfg = baseline_config(p_avg_max=1e-9)
+        for runner in (run_jtp, run_stp):
+            plan, trace = runner(cfg)
+            assert plan.feasible and trace.stop_reason == "converged"
+            assert np.mean(plan.power.powers) <= cfg.p_avg_max
+
     def test_uniform_power_never_above_budget(self):
-        # a budget under the nominal initial floor, yet enough for the rate floor
+        # the covertness caps overrun this budget, so the start water-fills
+        # under it: the mean stays within p_avg_max, every slot within the
+        # peak cap, and the restriction is strictly feasible there
         cfg = baseline_config(flight_period_T=200.0, gamma0=1e10, p_avg_max=5e-9)
         exp = initial_point(cfg)
-        assert np.all(exp.p_tilde.powers <= cfg.p_avg_max)
-        assemble_subproblem(exp, cfg, fixed_trajectory=False)
+        p = exp.p_tilde.powers
+        assert cfg.p_avg_max * (1.0 - 1e-5) <= np.mean(p) <= cfg.p_avg_max
+        assert np.all(p <= cfg.p_peak_max)
+        sub = assemble_subproblem(exp, cfg, fixed_trajectory=False)
+        assert float(np.max(sub.eval_values(sub.start))) < 0.0
 
 
 @pytest.mark.parametrize("var_willie", [1e-6, 1e-8])
@@ -357,3 +504,73 @@ def test_precise_warden_start_accepted_by_assembler(var_willie):
     for fixed in (False, True):
         sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed)
         assert np.max(sub.eval_values(sub.start)) < 0.0
+
+
+@st.composite
+def fuzz_scenarios(draw):
+    """Small scenarios around the baseline: 8 to 40 one-second slots, a
+    reachable landing point, receiver and warden estimates near the path,
+    location variances, budgets, outage and covertness levels, noise
+    uncertainty and channel gain over several decades."""
+    n = draw(st.integers(8, 40))
+
+    def uniform(lo, hi):
+        return draw(st.floats(lo, hi))
+
+    def log_uniform(lo, hi):
+        return 10.0 ** uniform(lo, hi)
+
+    q0 = np.array([uniform(-100.0, 100.0), uniform(-100.0, 100.0)])
+    turn = uniform(0.0, 2.0 * math.pi)
+    qf = q0 + uniform(0.0, 0.95) * 5.0 * n * np.array([math.cos(turn), math.sin(turn)])
+
+    def near_start():
+        return tuple(q0 + np.array([uniform(-150.0, 150.0), uniform(-150.0, 150.0)]))
+
+    p_avg = log_uniform(-12.0, -1.0)
+    return baseline_config(
+        flight_period_T=float(n), q_init=tuple(q0), q_final=tuple(qf),
+        bob_est=near_start(), willie_est=near_start(),
+        var_bob=log_uniform(-2.0, 3.0), var_willie=log_uniform(-6.0, 3.0),
+        gamma0=log_uniform(4.0, 10.0),
+        p_avg_max=p_avg, p_peak_max=p_avg * log_uniform(-0.5, 1.0),
+        rho_w=log_uniform(-4.0, -0.3), rho_b=log_uniform(-3.0, -0.5),
+        noise_uncertainty_rho=10.0 ** (log_uniform(-2.0, 0.8) / 10.0),
+    )
+
+
+def plan_bytes(plan, trace) -> bytes:
+    payload = plan.to_dict()
+    payload["stop_reason"] = trace.stop_reason
+    payload["subproblem_solves"] = trace.subproblem_solves
+    payload["objectives"] = trace.objectives
+    return json.dumps(payload).encode()
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=100)
+    @given(cfg=fuzz_scenarios())
+    def test_named_cause_or_feasible_plans(self, cfg):
+        # either a named infeasibility, with no internal row label in it, or
+        # exactly feasible plans with nondecreasing traces that rerun to the
+        # same bytes, and JTP at least STP; RuntimeWarnings are errors in
+        # this suite
+        try:
+            runs = {runner: runner(cfg) for runner in (run_jtp, run_stp)}
+        except InfeasibleScenarioError as exc:
+            msg = str(exc)
+            assert re.match(r"(zero power budget|power budget below|no feasible initial plan)",
+                            msg), msg
+            assert not re.search(r"\w\[\d+\]|expansion point|residual", msg), msg
+            event(f"infeasible: {msg.split(' (')[0].split(':')[0]}")
+            return
+        event("planned")
+        model = DetectionModel.from_config(cfg)
+        for runner, (plan, trace) in runs.items():
+            assert plan.feasible
+            for exp in trace.expansion_points:
+                assert exact_feasible(exact_feasibility(
+                    exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model), cfg)
+            assert np.all(np.diff(trace.objectives) >= 0.0), trace.objectives
+            assert plan_bytes(*runner(cfg)) == plan_bytes(plan, trace)
+        assert runs[run_jtp][0].actr >= runs[run_stp][0].actr - 1e-6

@@ -237,7 +237,7 @@ def grid_check_inputs(draw):
 
 
 class TestThresholdGridExcess:
-    @settings(max_examples=400, deadline=None, derandomize=True)
+    @settings(max_examples=400)
     @given(grid_check_inputs())
     def test_equals_full_grid_oracle_bitwise(self, inputs):
         model, ew_pow, grid_points = inputs
