@@ -22,10 +22,9 @@ from .scenario import (
 )
 from .detection import DetectionModel, xi_lower_bound
 from .convexify import ExpansionPoint, ConvexSubproblem, assemble_subproblem
-from .cvxsolver import SolverSettings, SolverResult, solve, check_kkt
+from .cvxsolver import SolverResult, solve, check_kkt
 from .sca import (
     Plan,
-    ScaSettings,
     ScaTrace,
     SolveRecord,
     InfeasibleScenarioError,
@@ -43,8 +42,8 @@ __all__ = [
     "ScenarioError", "ConfigParseError", "baseline_config", "load_config",
     "DetectionModel", "xi_lower_bound",
     "ExpansionPoint", "ConvexSubproblem", "assemble_subproblem",
-    "SolverSettings", "SolverResult", "solve", "check_kkt",
-    "Plan", "ScaSettings", "ScaTrace", "SolveRecord", "InfeasibleScenarioError",
+    "SolverResult", "solve", "check_kkt",
+    "Plan", "ScaTrace", "SolveRecord", "InfeasibleScenarioError",
     "initial_point", "line_segment_trajectory", "run_jtp", "run_stp",
     "McSettings", "ValidationReport", "validate_plan",
 ]

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import (
+    CONFIG_KEYS,
     ConfigParseError,
     ScenarioError,
     load_config,
@@ -57,15 +58,16 @@ def _write_json(path: Path, payload: dict) -> None:
 # sweep specification
 # ---------------------------------------------------------------------------
 
-# sweep parameter -> (ScenarioConfig field, unit kind for value parsing)
-_PARAM_SPECS = {
-    "T": ("flight_period_T", "time"),
-    "rho_w": ("rho_w", "scalar"),
-    "rho_b": ("rho_b", "scalar"),
-    "var_bob": ("var_bob", "area"),
-    "var_willie": ("var_willie", "area"),
-    "noise_uncertainty": ("noise_uncertainty_rho", "gain"),
-    "p_avg": ("p_avg_max", "power"),
+# sweep parameter -> config key, whose ScenarioConfig field and unit kind
+# (scenario.CONFIG_KEYS) the sweep values take
+_SWEEPABLE = {
+    "T": "flight_period",
+    "rho_w": "rho_w",
+    "rho_b": "rho_b",
+    "var_bob": "var_bob",
+    "var_willie": "var_willie",
+    "noise_uncertainty": "noise_uncertainty",
+    "p_avg": "p_avg_max",
 }
 
 _SCHEMES = {"JTP": run_jtp, "STP": run_stp}
@@ -87,11 +89,11 @@ def parse_sweep_text(text: str) -> SweepSpec:
         if key not in entries:
             raise ConfigParseError(key, "required sweep key is missing")
     param = entries["param"]
-    if param not in _PARAM_SPECS:
+    if param not in _SWEEPABLE:
         raise ConfigParseError(
-            "param", f"'{param}' is not sweepable (choose from {sorted(_PARAM_SPECS)})"
+            "param", f"'{param}' is not sweepable (choose from {sorted(_SWEEPABLE)})"
         )
-    _, kind = _PARAM_SPECS[param]
+    _, kind, _ = CONFIG_KEYS[_SWEEPABLE[param]]
     values = tuple(
         parse_quantity(tok.strip(), kind, f"values[{i}]")
         for i, tok in enumerate(entries["values"].split(","))
@@ -233,7 +235,7 @@ def cmd_sweep(config_path, sweep_path, out_dir, seed: int = 20240,
     if out is None:
         return 1
 
-    field_name, _ = _PARAM_SPECS[spec.param]
+    field_name, _, _ = CONFIG_KEYS[_SWEEPABLE[spec.param]]
     mc = mc_samples if mc_samples > 0 else (1_000_000 if spec.mc_validate else 0)
     pooled = bool(workers and workers > 1)
     # a k-process sweep audits on k threads in all, one per process

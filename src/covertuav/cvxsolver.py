@@ -21,7 +21,7 @@ mu / s. mu shrinks by MU_SHRINK once the iterate solves the mu-problem to
 KAPPA_EPS mu (Waechter & Biegler, Math. Program. 106, 2006), and the solve
 stops when the gap lam . s and the dual residual c + G^T lam both meet their
 targets.
-A cold start takes lam = barrier_mu_init / s; a warm start takes the duals
+A cold start takes lam = MU_INIT / s; a warm start takes the duals
 of a previous solve, with mu their mean complementarity at the new start,
 so a subproblem that starts near its optimum skips the walk to the
 analytic center. A start that is not strictly interior is an error, not
@@ -50,9 +50,9 @@ built once: the linear families' scaled gradients, G G^T entries and dyad
 columns.
 
 A solve that cannot go on, because the Newton matrix does not factor, no
-trial within max_backtracks is acceptable or the Newton decrement is not
+trial within MAX_BACKTRACKS is acceptable or the Newton decrement is not
 finite and positive, ends with status "stalled" at the current interior
-iterate; "max_iters" means the Newton budget ran out. Everything is
+iterate; "max_iters" means the MAX_ITERS Newton steps ran out. Everything is
 deterministic: no randomized pivoting, no restarts.
 
 Rows are numbered over the families in order; row_label names one only when
@@ -76,21 +76,11 @@ MU_SHRINK = 0.2      # factor mu shrinks by
 LS_ALPHA = 0.01      # Armijo slope fraction
 LS_BETA = 0.5        # backtracking factor
 KKT_ACTIVE_TOL = 1e-5  # check_kkt: rows within this relative margin are near-active
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    kkt_tol: float = 1e-7          # stop: gap <= 0.1 kkt_tol max(1, |f|), dual
-                                   # residual <= 10 kkt_tol max(1, |c|_inf)
-    max_iters: int = 600           # total Newton steps
-    barrier_mu_init: float = 1.0   # first mu of a cold start
-    max_backtracks: int = 80
-
-    def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+KKT_TOL = 1e-7       # stop: gap <= 0.1 KKT_TOL max(1, |f|), dual residual
+                     # <= 10 KKT_TOL max(1, |c|_inf)
+MAX_ITERS = 600      # Newton steps per solve
+MU_INIT = 1.0        # first mu of a cold start
+MAX_BACKTRACKS = 80  # line-search trials per Newton step
 
 
 @dataclass
@@ -418,10 +408,10 @@ def _clip_duals(lam: np.ndarray, s: np.ndarray, mu: float) -> np.ndarray:
 
 
 def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
-                 lam0: np.ndarray, mu: float, settings: SolverSettings) -> SolverResult:
+                 lam0: np.ndarray, mu: float) -> SolverResult:
     v, vals, lam = v0.copy(), vals0, lam0
     cw_norm = max(1.0, float(np.max(np.abs(work.c_w))))
-    dual_tol = 10.0 * settings.kkt_tol * cw_norm
+    dual_tol = 10.0 * KKT_TOL * cw_norm
     phi0 = None  # barrier merit at v for the current mu, once known
     total = backtracks = merit_evals = 0
     status, message = "max_iters", "newton budget exhausted"
@@ -431,8 +421,7 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
         pieces = _pieces(work, v, vals, lam)
         r_dual = work.gradient(lam)
         dual_inf = float(np.abs(r_dual).max())
-        if (float(lam @ s) <= _gap_target(work, v, settings)
-                and dual_inf <= dual_tol):
+        if float(lam @ s) <= _gap_target(work, v) and dual_inf <= dual_tol:
             status, message = "optimal", ""
             break
         # monotone mu: shrink while the iterate solves the mu-problem to
@@ -456,14 +445,14 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
             status = "stalled"
             message = f"Newton decrement^2 {dec2:.3g} at mu {mu:.3g}"
             break
-        if total >= settings.max_iters:
+        if total >= MAX_ITERS:
             break
         if phi0 is None:
             phi0 = _phi(work, v, mu, vals)
         slope = float(g @ p)
         step = p * work.scale
         t, ok = 1.0, False
-        for _ in range(settings.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = v + t * step
             cand_vals = _trial_values(work, cand)
             phi1 = math.inf
@@ -478,8 +467,7 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
         total += 1
         if not ok:
             status = "stalled"
-            message = (f"no acceptable step in {settings.max_backtracks} "
-                       f"backtracks at mu {mu:.3g}")
+            message = f"no acceptable step in {MAX_BACKTRACKS} backtracks at mu {mu:.3g}"
             break
         # duals: fraction-to-boundary step, then back near the central path
         dlam = _dual_step(work, lam, s, p, mu)
@@ -497,26 +485,22 @@ def _primal_dual(work: _Work, problem, v0: np.ndarray, vals0: np.ndarray,
     )
 
 
-def _gap_target(work: _Work, v: np.ndarray, settings: SolverSettings) -> float:
+def _gap_target(work: _Work, v: np.ndarray) -> float:
     # one extra decade under the nominal tolerance keeps the relative
-    # objective error below kkt_tol on unit-scale problems
-    return 0.1 * settings.kkt_tol * max(1.0, abs(work.objective_w(v)))
+    # objective error below KKT_TOL on unit-scale problems
+    return 0.1 * KKT_TOL * max(1.0, abs(work.objective_w(v)))
 
 
-def solve(problem, start: np.ndarray | None = None,
-          settings: SolverSettings | None = None,
-          duals: np.ndarray | None = None) -> SolverResult:
+def solve(problem, duals: np.ndarray | None = None) -> SolverResult:
     """Minimize the problem's linear objective over its residual families.
 
-    The start (problem.start unless given) must be strictly interior: a
-    ValueError naming the worst row and its value is raised otherwise.
-    duals, when given, warm-start the multipliers (one per residual row, in
-    family order, as SolverResult.duals returns them) and set the first mu
-    to their mean complementarity at the start; otherwise the duals start
-    at barrier_mu_init / s.
+    problem.start must be strictly interior: a ValueError naming the worst
+    row and its value is raised otherwise. duals, when given, warm-start the
+    multipliers (one per residual row, in family order, as
+    SolverResult.duals returns them) and set the first mu to their mean
+    complementarity at the start; otherwise the duals start at MU_INIT / s.
     """
-    settings = settings or SolverSettings()
-    v0 = np.array(problem.start if start is None else start, dtype=float)
+    v0 = np.array(problem.start, dtype=float)
     work = _Work(problem)
     if work.m == 0:
         return SolverResult(v0, float(np.asarray(problem.obj_coef) @ v0), "optimal",
@@ -529,7 +513,7 @@ def solve(problem, start: np.ndarray | None = None,
                          f"{row_label(work.families, worst)} = {vals0[worst]:.3e}")
     s0 = -vals0
     if duals is None:
-        mu = settings.barrier_mu_init
+        mu = MU_INIT
         lam0 = mu / s0
     else:
         lam0 = np.asarray(duals, dtype=float)
@@ -538,7 +522,7 @@ def solve(problem, start: np.ndarray | None = None,
                              f"{work.m} residual rows")
         mu = float(lam0 @ s0) / work.m
         lam0 = _clip_duals(lam0, s0, mu)
-    return _primal_dual(work, problem, v0, vals0, lam0, mu, settings)
+    return _primal_dual(work, problem, v0, vals0, lam0, mu)
 
 
 # ---------------------------------------------------------------------------

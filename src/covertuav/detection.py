@@ -35,7 +35,7 @@ POSITIVE_FLOOR = 1e-12
 class DetectionModel:
     """Constants of the warden's detection problem, all linear units."""
 
-    rho: float             # noise uncertainty spread, >= 1
+    rho: float             # noise uncertainty spread, > 1
     noise_nominal: float   # W
     beta0: float           # linear channel gain at 1 m
     var_willie: float      # m^2
@@ -43,8 +43,8 @@ class DetectionModel:
     beta1: float = field(init=False)  # beta0 * rho / (var_willie * noise_nominal)
 
     def __post_init__(self):
-        if self.rho < 1.0:
-            raise ValueError("rho must be >= 1")
+        if not self.rho > 1.0:
+            raise ValueError("rho must exceed 1")
         object.__setattr__(
             self, "beta1", self.beta0 * self.rho / (self.var_willie * self.noise_nominal)
         )
@@ -81,13 +81,10 @@ def false_alarm(p_th, model: DetectionModel):
     """Probability of declaring a transmission when there is none.
 
     Piecewise in the threshold: 1 below the noise support, a log ramp across
-    it, 0 above. With rho = 1 the noise is known exactly and the rate is the
-    indicator {p_th <= noise}.
+    it, 0 above.
     """
     p_th = np.asarray(p_th, dtype=float)
     s2, rho = model.noise_nominal, model.rho
-    if rho == 1.0:
-        return np.where(p_th <= s2, 1.0, 0.0)
     ramp = np.log(np.maximum(rho * s2 / np.maximum(p_th, 1e-300), 1e-300)) / model.two_ln_rho
     out = np.where(p_th < s2 / rho, 1.0, np.where(p_th > rho * s2, 0.0, ramp))
     return out if out.shape else float(out)
@@ -98,8 +95,6 @@ def miss_detection(p_th, e_w, model: DetectionModel):
     p_th = np.asarray(p_th, dtype=float)
     e_w = np.asarray(e_w, dtype=float)
     s2, rho = model.noise_nominal, model.rho
-    if rho == 1.0:
-        return np.where(p_th > e_w + s2, 1.0, 0.0)
     arg = np.maximum(rho * (p_th - e_w) / s2, 1e-300)
     ramp = np.log(arg) / model.two_ln_rho
     out = np.where(
@@ -116,26 +111,21 @@ def min_total_error(e_w, model: DetectionModel):
     best threshold sits at e_w + noise_low, where the total error rate is
     ln(rho * noise / (e_w + noise/rho)) / (2 ln rho).
 
-    Returns (p_th_star, xi_star); broadcasts over e_w.
+    Returns (p_th_star, xi_star); broadcasts over e_w. Both come out of one
+    buffer each, which matters at the audit's shard sizes.
     """
     e_w = np.asarray(e_w, dtype=float)
-    s2, rho = model.noise_nominal, model.rho
-    if rho == 1.0:
-        xi = np.where(e_w > 0, 0.0, 1.0)
-        pth = np.where(e_w > 0, s2, s2)
-        return (pth if pth.shape else float(pth)), (xi if xi.shape else float(xi))
-    lo = s2 / rho
-    hi = rho * s2
-    detectable = e_w + lo >= hi
-    pth = np.where(detectable, hi, e_w + lo)
-    xi = np.where(
-        detectable,
-        0.0,
-        np.log(np.maximum(hi / np.maximum(e_w + lo, 1e-300), 1e-300)) / model.two_ln_rho,
-    )
+    lo, hi = model.noise_low, model.noise_high
+    pth = np.add(e_w, lo, out=np.empty_like(e_w))
+    # ln(hi / (e_w + lo)), 0 once detectable (e_w + lo >= hi)
+    xi = np.divide(hi, pth, out=np.empty_like(e_w))
+    np.log(xi, out=xi)
+    np.maximum(xi, 0.0, out=xi)
+    xi /= model.two_ln_rho
     # a silent transmitter is exactly undetectable (1 ulp of log roundoff
     # otherwise leaks through the ratio)
-    xi = np.where(e_w == 0.0, 1.0, xi)
+    xi[e_w == 0.0] = 1.0
+    np.minimum(pth, hi, out=pth)
     if xi.shape:
         return pth, xi
     return float(pth), float(xi)

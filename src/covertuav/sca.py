@@ -43,7 +43,6 @@ from .convexify import (
     exact_feasibility,
     exact_feasible,
 )
-from .cvxsolver import SolverSettings
 from .detection import DetectionModel, lambda_of, xi_lower_bound
 from .scenario import (
     RATE_FLOOR,
@@ -59,6 +58,7 @@ from .scenario import (
 # 1e-6 on small scenarios) while its limit is still about 1e-3 of the ACTR
 # away, so a looser relative test stops it short.
 CONVERGED_RTOL = 1e-3
+MAX_OUTER = 100  # subproblem solves per run
 BISECTION_STEPS = 200
 # solver statuses that end the outer loop at the solve's (feasible) iterate
 _SOLVE_STOPS = {"max_iters": "subproblem_newton_cap", "stalled": "subproblem_stalled"}
@@ -66,12 +66,6 @@ _SOLVE_STOPS = {"max_iters": "subproblem_newton_cap", "stalled": "subproblem_sta
 
 class InfeasibleScenarioError(ScenarioError):
     """No feasible plan exists for the scenario (within this construction)."""
-
-
-@dataclass(frozen=True)
-class ScaSettings:
-    solver: SolverSettings = SolverSettings()
-    max_outer: int = 100
 
 
 @dataclass(frozen=True)
@@ -384,9 +378,7 @@ def _make_plan(exp: ExpansionPoint, margins: dict, cfg: ScenarioConfig,
     )
 
 
-def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
-             settings: ScaSettings | None, start: ExpansionPoint | None):
-    settings = settings or ScaSettings()
+def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool, start: ExpansionPoint | None):
     model = DetectionModel.from_config(cfg)
     if start is None:
         margins = {}
@@ -401,7 +393,7 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
     records = []
     duals = None  # the last solve's, to warm-start the next
     reason = "outer_iteration_cap"
-    for _ in range(settings.max_outer):
+    for _ in range(MAX_OUTER):
         try:
             sub = assemble_subproblem(exp, cfg, fixed_trajectory=fixed_trajectory,
                                       margins=margins)
@@ -411,7 +403,7 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
                     f"initial point rejected by the subproblem: {exc}") from exc
             reason = "expansion_rejected"
             break
-        res = cvxsolver.solve(sub, settings=settings.solver, duals=duals)
+        res = cvxsolver.solve(sub, duals=duals)
         records.append(SolveRecord.of(res))
         duals = res.duals
         traj, powers, rates, u1 = sub.unpack(res.variables)
@@ -456,13 +448,11 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool,
     return plan, trace
 
 
-def run_jtp(cfg: ScenarioConfig, settings: ScaSettings | None = None,
-            start: ExpansionPoint | None = None):
+def run_jtp(cfg: ScenarioConfig, start: ExpansionPoint | None = None):
     """Joint trajectory and power optimization. Returns (Plan, ScaTrace)."""
-    return _run_sca(cfg, fixed_trajectory=False, settings=settings, start=start)
+    return _run_sca(cfg, fixed_trajectory=False, start=start)
 
 
-def run_stp(cfg: ScenarioConfig, settings: ScaSettings | None = None,
-            start: ExpansionPoint | None = None):
+def run_stp(cfg: ScenarioConfig, start: ExpansionPoint | None = None):
     """Power-only baseline on the frozen line-segment trajectory."""
-    return _run_sca(cfg, fixed_trajectory=True, settings=settings, start=start)
+    return _run_sca(cfg, fixed_trajectory=True, start=start)

@@ -314,27 +314,27 @@ def parse_point(raw: str, key: str) -> np.ndarray:
     return np.array([_parse_number(parts[0], key), _parse_number(parts[1], key)])
 
 
-# key -> (kind, required)
-_CONFIG_KEYS = {
-    "flight_period": ("time", True),
-    "slot_duration": ("time", True),
-    "altitude": ("length", True),
-    "v_max": ("speed", True),
-    "q_init": ("point", True),
-    "q_final": ("point", True),
-    "bob_est": ("point", True),
-    "willie_est": ("point", True),
-    "var_bob": ("area", True),
-    "var_willie": ("area", True),
-    "beta0": ("gain", True),
-    "gamma0": ("gain", True),
-    "p_avg_max": ("power", True),
-    "p_peak_max": ("power", True),
-    "noise_nominal": ("power", True),
-    "noise_uncertainty": ("gain", True),
-    "rho_b": ("scalar", True),
-    "rho_w": ("scalar", True),
-    "sca_tolerance": ("scalar", False),
+# config key -> (ScenarioConfig field, unit kind, required)
+CONFIG_KEYS = {
+    "flight_period": ("flight_period_T", "time", True),
+    "slot_duration": ("slot_duration", "time", True),
+    "altitude": ("altitude_H", "length", True),
+    "v_max": ("v_max", "speed", True),
+    "q_init": ("q_init", "point", True),
+    "q_final": ("q_final", "point", True),
+    "bob_est": ("bob_est", "point", True),
+    "willie_est": ("willie_est", "point", True),
+    "var_bob": ("var_bob", "area", True),
+    "var_willie": ("var_willie", "area", True),
+    "beta0": ("beta0", "gain", True),
+    "gamma0": ("gamma0", "gain", True),
+    "p_avg_max": ("p_avg_max", "power", True),
+    "p_peak_max": ("p_peak_max", "power", True),
+    "noise_nominal": ("noise_nominal", "power", True),
+    "noise_uncertainty": ("noise_uncertainty_rho", "gain", True),
+    "rho_b": ("rho_b", "scalar", True),
+    "rho_w": ("rho_w", "scalar", True),
+    "sca_tolerance": ("sca_tolerance", "scalar", False),
 }
 
 
@@ -362,38 +362,17 @@ def parse_key_values(text: str, known) -> dict[str, str]:
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
-    entries = parse_key_values(text, _CONFIG_KEYS)
+    entries = parse_key_values(text, CONFIG_KEYS)
 
-    parsed: dict[str, object] = {}
+    fields: dict[str, object] = {}
     for key, raw in entries.items():
-        kind, _ = _CONFIG_KEYS[key]
-        parsed[key] = parse_point(raw, key) if kind == "point" else parse_quantity(raw, kind, key)
+        name, kind, _ = CONFIG_KEYS[key]
+        fields[name] = parse_point(raw, key) if kind == "point" else parse_quantity(raw, kind, key)
 
-    missing = [k for k, (_, req) in _CONFIG_KEYS.items() if req and k not in entries]
+    missing = [k for k, (_, _, req) in CONFIG_KEYS.items() if req and k not in entries]
     if missing:
         raise ConfigParseError(missing[0], "required key is missing")
-
-    return ScenarioConfig(
-        flight_period_T=parsed["flight_period"],
-        slot_duration=parsed["slot_duration"],
-        altitude_H=parsed["altitude"],
-        v_max=parsed["v_max"],
-        q_init=parsed["q_init"],
-        q_final=parsed["q_final"],
-        bob_est=parsed["bob_est"],
-        willie_est=parsed["willie_est"],
-        var_bob=parsed["var_bob"],
-        var_willie=parsed["var_willie"],
-        beta0=parsed["beta0"],
-        gamma0=parsed["gamma0"],
-        p_avg_max=parsed["p_avg_max"],
-        p_peak_max=parsed["p_peak_max"],
-        noise_nominal=parsed["noise_nominal"],
-        noise_uncertainty_rho=parsed["noise_uncertainty"],
-        rho_b=parsed["rho_b"],
-        rho_w=parsed["rho_w"],
-        sca_tolerance=parsed.get("sca_tolerance", 1e-4),
-    )
+    return ScenarioConfig(**fields)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import chndtr, i0e, ndtr
+from scipy.special import chndtr, i0e, ndtr, ndtri
 
 from .detection import DetectionModel, g_of, min_total_error, g_upper
 from .scenario import ScenarioConfig
@@ -44,6 +44,8 @@ _SHARD = 1 << 18  # samples per shard
 _FLAT_RISE = 1e-13
 CONFIDENCE_LEVEL = 0.99  # two-sided level of every Monte Carlo interval
 KS_GRID_POINTS = 10_000  # grid of ks_gaussian_approx
+GRID_CHECK_FRACTION = 0.01  # share of each slot's warden samples the threshold grid re-checks
+GRID_POINTS = 1000  # thresholds in that grid
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,8 @@ class McSettings:
 
     @property
     def z_value(self) -> float:
-        # two-sided normal quantile via bisection on ndtr (avoids scipy.stats)
-        target = 0.5 * (1.0 + CONFIDENCE_LEVEL)
-        lo, hi = 0.0, 10.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if ndtr(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """Two-sided normal quantile at CONFIDENCE_LEVEL."""
+        return float(ndtri(0.5 * (1.0 + CONFIDENCE_LEVEL)))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -234,16 +228,15 @@ def empirical_outage(plan: Plan, cfg: ScenarioConfig, mc: McSettings, *,
     return p_hat, ci
 
 
-def empirical_willie_error(plan: Plan, cfg: ScenarioConfig, mc: McSettings,
-                           grid_check_fraction: float = 0.01,
-                           grid_points: int = 1000, *,
+def empirical_willie_error(plan: Plan, cfg: ScenarioConfig, mc: McSettings, *,
                            pool: ThreadPoolExecutor | None = None):
     """Per-slot mean minimum total error rate at the warden, sampled over the
     warden's location error.
 
-    A threshold grid re-derives the per-sample minimum on a fraction of the
-    samples; the worst closed-form excess over the grid minimum is returned
-    as a cross-check statistic (the closed form can only be below the grid by
+    A threshold grid of GRID_POINTS thresholds re-derives the per-sample
+    minimum on the first GRID_CHECK_FRACTION of each slot's samples; the
+    worst closed-form excess over the grid minimum is returned as a
+    cross-check statistic (the closed form can only be below the grid by
     resolution, never above). The slots run on ``pool`` (``mc.threads(N)``
     threads when None).
     """
@@ -254,7 +247,7 @@ def empirical_willie_error(plan: Plan, cfg: ScenarioConfig, mc: McSettings,
     h2 = cfg.altitude_H**2
     offsets = plan.trajectory.waypoints - cfg.willie_est
     n_checked = min(_SHARD, mc.num_samples,
-                    max(1, int(mc.num_samples * grid_check_fraction)))
+                    max(1, int(mc.num_samples * GRID_CHECK_FRACTION)))
 
     def chunk(lo, hi):
         kernel = _SlotKernel(mc.num_samples)
@@ -263,15 +256,14 @@ def empirical_willie_error(plan: Plan, cfg: ScenarioConfig, mc: McSettings,
             gain = cfg.beta0 * plan.power.powers[i]
             total = 0.0
             total_sq = 0.0
-            excess = -math.inf
             shards = kernel.shards(_rng(mc.rng_seed, 2 * i + 1), eps, offsets[i], h2)
             for s, ew_pow in enumerate(shards):
                 np.divide(gain, ew_pow, out=ew_pow)
                 _, xi = min_total_error(ew_pow, model)
                 total += float(np.sum(xi))
-                if s == 0 and grid_check_fraction > 0.0:
+                if s == 0:
                     excess = _threshold_grid_excess(ew_pow[:n_checked], xi[:n_checked],
-                                                    model, grid_points)
+                                                    model, GRID_POINTS)
                 xi *= xi
                 total_sq += float(np.sum(xi))
             rows.append((total, total_sq, excess))
@@ -307,10 +299,10 @@ def _threshold_grid_excess(ew_pow: np.ndarray, xi_closed: np.ndarray,
     (for a detectable sample, e + noise_low >= noise_high, it reaches 0 at
     noise_high and stays there). From t* on it rises: as
     1 + ln(1 - e / t) / (2 ln rho) up to noise_high, then along the miss ramp
-    to 1 at e + noise_high, and it is exactly 1 beyond. With rho = 1 it is a
-    1/0/1 step around the same t*. So the minimum sits at the last grid point
-    below t* or the first at or above it (miss_detection switches to its ramp
-    at t* itself, so a grid point equal to t* belongs to the rising side).
+    to 1 at e + noise_high, and it is exactly 1 beyond. So the minimum sits
+    at the last grid point below t* or the first at or above it
+    (miss_detection switches to its ramp at t* itself, so a grid point equal
+    to t* belongs to the rising side).
     Rounding breaks this shape in two places, and both are covered:
 
     - at the top of the miss ramp the sum may round to just above 1, where

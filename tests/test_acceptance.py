@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from covertuav import cvxsolver
 from covertuav.convexify import (
     assemble_subproblem,
     exact_feasibility,
@@ -19,7 +20,7 @@ from covertuav.convexify import (
     g4,
     g5,
 )
-from covertuav.cvxsolver import SolverSettings, solve
+from covertuav.cvxsolver import solve
 from covertuav.detection import (
     DetectionModel,
     false_alarm,
@@ -330,12 +331,14 @@ class TestCriterion9:
 
 
 class TestCriterion10:
-    def test_solver_correctness(self, rng, small_cfg):
+    def test_solver_correctness(self, rng, small_cfg, monkeypatch):
         # generated strictly convex QPs with interior optima, via epigraph
         from test_cvxsolver import QuadEpigraph, box_family
 
         from covertuav.cvxsolver import BarrierProblem
 
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-8)
+        monkeypatch.setattr(cvxsolver, "MAX_ITERS", 400)
         qp_ok = True
         worst_rel = 0.0
         for _ in range(10):
@@ -356,7 +359,7 @@ class TestCriterion10:
                 obj, [QuadEpigraph(Q, b),
                       box_family(np.append(-hi, -1e6), np.append(hi, 1e6))],
                 np.append(np.zeros(n), 1.0), np.ones(n + 1))
-            res = solve(prob, settings=SolverSettings(kkt_tol=1e-8, max_iters=400))
+            res = solve(prob)
             rel = abs(res.objective - f_star) / max(1.0, abs(f_star))
             worst_rel = max(worst_rel, rel)
             qp_ok = qp_ok and res.status == "optimal" and rel < 1e-7
@@ -369,7 +372,7 @@ class TestCriterion10:
             bob_est=(-10.0, 30.0), willie_est=(10.0, 30.0))
         case = TestDegenerateSingleSlot()
         try:
-            case.test_matches_grid_search_oracle(cfg1)
+            case.test_matches_grid_search_oracle(cfg1, monkeypatch)
             toy_ok = True
         except AssertionError:
             toy_ok = False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from covertuav import cvxsolver
 from covertuav.convexify import LinearFamily, ResidualFamily, assemble_subproblem
 from covertuav.cvxsolver import (
     BarrierProblem,
-    SolverSettings,
     _Work,
     _newton_banded,
     _phi,
@@ -19,7 +19,7 @@ from covertuav.cvxsolver import (
     residual_values,
     solve,
 )
-from covertuav.sca import ScaSettings, initial_point
+from covertuav.sca import initial_point
 
 
 def box_family(lo, hi):
@@ -140,13 +140,14 @@ def dense_direction(H, g):
 
 
 class TestToys:
-    def test_one_dimensional_bound(self):
-        res = solve(one_d_problem(), settings=SolverSettings(kkt_tol=1e-9))
+    def test_one_dimensional_bound(self, monkeypatch):
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-9)
+        res = solve(one_d_problem())
         assert res.status == "optimal"
         assert res.variables[0] == pytest.approx(3.0, abs=1e-8)
         assert res.objective == pytest.approx(-3.0, abs=1e-8)
 
-    def test_soc_toy_closed_form(self):
+    def test_soc_toy_closed_form(self, monkeypatch):
         # min -x s.t. sqrt(2 + 2 x^2) <= 3  ->  x = sqrt(7/2)
         class Soc(ResidualFamily):
             name = "soc"
@@ -167,7 +168,8 @@ class TestToys:
                 return (2.0 / rt * (1.0 - 2.0 * V[:, 0] ** 2 / rt**2)).reshape(1, 1)
 
         prob = BarrierProblem(np.array([-1.0]), [Soc()], np.array([0.0]), np.ones(1))
-        res = solve(prob, settings=SolverSettings(kkt_tol=1e-10))
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-10)
+        res = solve(prob)
         assert res.variables[0] == pytest.approx(math.sqrt(3.5), abs=1e-8)
 
     def test_objective_never_worse_than_start(self):
@@ -177,7 +179,9 @@ class TestToys:
 
 
 class TestQuadraticPrograms:
-    def test_generated_qp_set_against_closed_form(self, rng):
+    def test_generated_qp_set_against_closed_form(self, rng, monkeypatch):
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-8)
+        monkeypatch.setattr(cvxsolver, "MAX_ITERS", 400)
         for trial in range(8):
             n = int(rng.integers(2, 7))
             A = rng.normal(size=(n, n))
@@ -197,16 +201,17 @@ class TestQuadraticPrograms:
             start = np.zeros(n + 1)
             start[n] = 1.0
             prob = BarrierProblem(obj, fams, start, np.ones(n + 1))
-            res = solve(prob, settings=SolverSettings(kkt_tol=1e-8, max_iters=400))
+            res = solve(prob)
             assert res.status == "optimal"
             assert abs(res.objective - f_star) <= 1e-7 * max(1.0, abs(f_star)), trial
             assert np.allclose(res.variables[:n], x_star, atol=1e-5)
 
 
 class TestKkt:
-    def test_optimum_has_tiny_residuals(self):
+    def test_optimum_has_tiny_residuals(self, monkeypatch):
         prob = one_d_problem()
-        res = solve(prob, settings=SolverSettings(kkt_tol=1e-10))
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-10)
+        res = solve(prob)
         rep = check_kkt(prob, res.variables)
         assert rep.primal < 0.0
         assert rep.stationarity < 1e-8
@@ -217,9 +222,10 @@ class TestKkt:
         rep = check_kkt(prob, prob.start)
         assert rep.primal <= 0.0  # strictly interior start
 
-    def test_perturbed_optimum_degrades_stationarity(self):
+    def test_perturbed_optimum_degrades_stationarity(self, monkeypatch):
         prob = one_d_problem()
-        res = solve(prob, settings=SolverSettings(kkt_tol=1e-10))
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-10)
+        res = solve(prob)
         good = check_kkt(prob, res.variables)
         bad = check_kkt(prob, res.variables - 1e-3)
 
@@ -229,10 +235,10 @@ class TestKkt:
         assert worst(bad) >= worst(good) + 1e-4
 
 
-def dual_tol(sub, settings):
+def dual_tol(sub):
     """The solver's stop tolerance on the dual residual of sub."""
     c_w = np.asarray(sub.obj_coef) * np.asarray(sub.var_scale)
-    return 10.0 * settings.kkt_tol * max(1.0, float(np.max(np.abs(c_w))))
+    return 10.0 * cvxsolver.KKT_TOL * max(1.0, float(np.max(np.abs(c_w))))
 
 
 class TestDuals:
@@ -243,18 +249,19 @@ class TestDuals:
         out = []
         for fixed in (False, True):
             sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
-            out.append((sub, solve(sub, settings=ScaSettings().solver)))
+            out.append((sub, solve(sub)))
         return out
 
-    def test_duals_certify_stationarity(self, first_solves):
-        settings = ScaSettings().solver
+    def test_duals_certify_stationarity(self, first_solves, monkeypatch):
+        # the fixture's solves ran to optimality; the ones below stop at 3 steps
+        monkeypatch.setattr(cvxsolver, "MAX_ITERS", 3)
         for sub, res in first_solves:
             assert res.status == "optimal"
-            assert res.kkt.stationarity <= dual_tol(sub, settings)
+            assert res.kkt.stationarity <= dual_tol(sub)
             assert res.gap == pytest.approx(float(res.duals @ -sub.eval_values(res.variables)))
-            cut = solve(sub, settings=SolverSettings(max_iters=3))
+            cut = solve(sub)
             assert cut.status == "max_iters" and cut.iterations == 3
-            assert cut.kkt.stationarity > 100.0 * dual_tol(sub, settings)
+            assert cut.kkt.stationarity > 100.0 * dual_tol(sub)
 
     def test_check_kkt_agrees_with_the_solver(self, first_solves):
         for sub, res in first_solves:
@@ -266,8 +273,7 @@ class TestDuals:
     def test_warm_restart_from_the_optimum(self, first_solves):
         # the optimum and its duals solve the subproblem again at once
         sub, res = first_solves[0]
-        again = solve(sub, start=res.variables, settings=ScaSettings().solver,
-                      duals=res.duals)
+        again = solve(dataclasses.replace(sub, start=res.variables), duals=res.duals)
         assert again.status == "optimal"
         assert again.iterations <= 5
         assert again.objective == pytest.approx(res.objective, abs=1e-9)
@@ -280,9 +286,9 @@ class TestDuals:
 
 class TestRobustness:
     def test_exterior_start_rejected(self):
-        prob = one_d_problem()
+        prob = dataclasses.replace(one_d_problem(), start=np.array([5.0]))  # outside the box
         with pytest.raises(ValueError, match=r"ub\[0\] = 2\.000e\+00"):
-            solve(prob, start=np.array([5.0]))  # outside the box
+            solve(prob)
 
     def test_infeasible_problem_detected(self):
         fam = LinearFamily(np.array([[0], [0]]), np.array([[1.0], [-1.0]]),
@@ -298,8 +304,8 @@ class TestRobustness:
 
         small = cfg.with_updates(flight_period_T=200.0)
         sub = assemble_subproblem(initial_point(small), small)
-        r1 = solve(sub, settings=SolverSettings())
-        r2 = solve(sub, settings=SolverSettings())
+        r1 = solve(sub)
+        r2 = solve(sub)
         assert np.array_equal(r1.variables, r2.variables)
         assert r1.iterations == r2.iterations
         assert r1.objective == r2.objective
@@ -329,7 +335,7 @@ class TestRobustness:
         from covertuav.sca import initial_point
 
         sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
-        rb = solve(sub, settings=SolverSettings())
+        rb = solve(sub)
 
         def dense(work, pieces, g):
             by_family = {fi: V for fi, V, *_ in pieces}
@@ -341,10 +347,10 @@ class TestRobustness:
             return dense_direction(dense_newton_oracle(sub, gathered, 1.0, lam)[0], g)
 
         monkeypatch.setattr(cvxsolver, "_newton_banded", dense)
-        rd = solve(sub, settings=SolverSettings())
+        rd = solve(sub)
         assert rb.objective == pytest.approx(rd.objective, rel=1e-6, abs=1e-9)
 
-    def test_failed_factorization_reports_stalled(self):
+    def test_failed_factorization_reports_stalled(self, monkeypatch):
         # the last of 64 variables sits in no residual row, so its band
         # diagonal is exactly zero and the banded factorization fails
         d = 64
@@ -359,7 +365,8 @@ class TestRobustness:
         # the 62-row chain of span 1 widens the band to 1, not 62 dyads
         assert work.band == 1 and work.wide == set()
 
-        res = solve(prob, settings=SolverSettings(barrier_mu_init=0.1))
+        monkeypatch.setattr(cvxsolver, "MU_INIT", 0.1)
+        res = solve(prob)
         assert res.status == "stalled"
         assert res.message == "Newton matrix not positive definite at mu 0.1"
         assert res.iterations == 0
@@ -416,7 +423,7 @@ class TestRobustness:
         for fixed, iterations, objective in ((False, 22, -0.005613511702263619),
                                              (True, 16, -0.005611951999339344)):
             sub = assemble_subproblem(exp, study, fixed_trajectory=fixed)
-            res = solve(sub, settings=ScaSettings().solver)
+            res = solve(sub)
             assert res.status == "optimal"
             assert res.iterations == iterations
             assert res.objective == pytest.approx(objective, rel=1e-12)
@@ -522,11 +529,13 @@ class TestLineSearch:
         assert 0.0 < res.variables[0] < 1e-8
         assert res.merit_evals >= res.iterations
 
-    def test_failed_line_search_reports_stalled(self):
+    def test_failed_line_search_reports_stalled(self, monkeypatch):
         # at mu = 1e-3 the full Newton step from x = 1 lands near x = 801,
         # outside the box, and one backtrack allows no shorter trial
         prob = one_d_problem()
-        res = solve(prob, settings=SolverSettings(barrier_mu_init=1e-3, max_backtracks=1))
+        monkeypatch.setattr(cvxsolver, "MU_INIT", 1e-3)
+        monkeypatch.setattr(cvxsolver, "MAX_BACKTRACKS", 1)
+        res = solve(prob)
         assert res.status == "stalled"
         assert "no acceptable step" in res.message
         assert np.array_equal(res.variables, prob.start)

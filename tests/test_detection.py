@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from covertuav.detection import (
@@ -22,6 +24,42 @@ def model(cfg):
     return DetectionModel.from_config(cfg)
 
 
+def reference_min_total_error(e_w, model):
+    """Test oracle: min_total_error as where-selects over fresh arrays."""
+    e_w = np.asarray(e_w, dtype=float)
+    s2, rho = model.noise_nominal, model.rho
+    lo = s2 / rho
+    hi = rho * s2
+    detectable = e_w + lo >= hi
+    pth = np.where(detectable, hi, e_w + lo)
+    xi = np.where(
+        detectable,
+        0.0,
+        np.log(np.maximum(hi / np.maximum(e_w + lo, 1e-300), 1e-300)) / model.two_ln_rho,
+    )
+    xi = np.where(e_w == 0.0, 1.0, xi)
+    if xi.shape:
+        return pth, xi
+    return float(pth), float(xi)
+
+
+@st.composite
+def min_total_error_inputs(draw):
+    """A model at 0.5, 3 or 10 dB of noise spread and received powers that
+    are silent, tiny, undetectable, detectable or within an ulp of the
+    detectable edge e_w + noise_low = noise_high."""
+    rho = 10.0 ** (draw(st.sampled_from([0.5, 3.0, 10.0])) / 10.0)
+    s2 = draw(st.sampled_from([1e-15, 1e-12, 1.0]))
+    model = DetectionModel(rho=rho, noise_nominal=s2, beta0=1e-6,
+                           var_willie=25.0, altitude_H=100.0)
+    edge = model.noise_high - model.noise_low
+    rel = st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 12.0),
+                    st.floats(1.0, 1e6))
+    near = st.sampled_from([np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)])
+    e_w = draw(st.lists(st.one_of(rel.map(lambda r: r * s2), near), min_size=1, max_size=40))
+    return model, np.array(e_w)
+
+
 class TestModel:
     def test_beta1_definition(self, model, cfg):
         expect = cfg.beta0 * cfg.noise_uncertainty_rho / (cfg.var_willie * cfg.noise_nominal)
@@ -31,6 +69,12 @@ class TestModel:
     def test_rho_below_one_rejected(self, cfg):
         with pytest.raises(ValueError):
             DetectionModel(rho=0.9, noise_nominal=1e-15, beta0=1e-6,
+                           var_willie=25.0, altitude_H=100.0)
+
+    def test_rho_one_rejected(self):
+        # a warden without noise uncertainty has 2 ln rho = 0 in every ramp
+        with pytest.raises(ValueError, match="rho must exceed 1"):
+            DetectionModel(rho=1.0, noise_nominal=1e-15, beta0=1e-6,
                            var_willie=25.0, altitude_H=100.0)
 
 
@@ -92,15 +136,14 @@ class TestErrorRates:
         p_th, _ = min_total_error(ew, model)
         assert p_th == pytest.approx(ew + model.noise_low, rel=1e-12)
 
-    def test_known_noise_degenerate(self):
-        m = DetectionModel(rho=1.0, noise_nominal=1e-15, beta0=1e-6,
-                           var_willie=25.0, altitude_H=100.0)
-        _, xi_quiet = min_total_error(0.0, m)
-        _, xi_signal = min_total_error(1e-18, m)
-        assert xi_quiet == 1.0
-        assert xi_signal == 0.0
-        assert false_alarm(1e-15, m) == 1.0
-        assert false_alarm(1.0000001e-15, m) == 0.0
+    @given(min_total_error_inputs())
+    def test_min_total_error_equals_oracle_bitwise(self, inputs):
+        model, e_w = inputs
+        for e in (e_w, float(e_w[0])):
+            got, want = min_total_error(e, model), reference_min_total_error(e, model)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert [np.asarray(x).tobytes() for x in got] == \
+                [np.asarray(x).tobytes() for x in want]
 
 
 class TestDistanceStatistic:

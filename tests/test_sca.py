@@ -16,12 +16,10 @@ from covertuav.convexify import (
     exact_feasibility,
     exact_feasible,
 )
-from covertuav.cvxsolver import SolverSettings
 from covertuav.detection import DetectionModel, lambda_of, xi_lower_bound
 from covertuav.scenario import RATE_FLOOR, baseline_config
 from covertuav.sca import (
     InfeasibleScenarioError,
-    ScaSettings,
     initial_point,
     line_segment_trajectory,
     run_jtp,
@@ -280,11 +278,11 @@ class TestScaLoop:
         assert len(calls) == trace.subproblem_solves + 1
 
     @pytest.mark.parametrize("runner", [run_jtp, run_stp])
-    def test_stalled_solve_stops_the_loop(self, small_cfg, runner):
+    def test_stalled_solve_stops_the_loop(self, small_cfg, monkeypatch, runner):
         # one backtrack per Newton step: the first solve's line search fails,
         # and the loop keeps that solve's interior iterate and stops
-        settings = ScaSettings(solver=SolverSettings(max_iters=600, max_backtracks=1))
-        plan, trace = runner(small_cfg, settings=settings)
+        monkeypatch.setattr(cvxsolver, "MAX_BACKTRACKS", 1)
+        plan, trace = runner(small_cfg)
         assert trace.stop_reason == "subproblem_stalled"
         assert plan.status == "subproblem_stalled"
         assert trace.subproblem_solves == 1
@@ -350,11 +348,10 @@ def test_last_solve_certifies_stationarity(small_cfg, monkeypatch, period, runne
         return solves[-1][1]
 
     monkeypatch.setattr(cvxsolver, "solve", recorded)
-    settings = ScaSettings()
-    _, trace = runner(cfg, settings=settings)
+    _, trace = runner(cfg)
     assert trace.stop_reason == "converged"
     sub, res = solves[-1]
-    assert res.kkt.stationarity <= dual_tol(sub, settings.solver)
+    assert res.kkt.stationarity <= dual_tol(sub)
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +369,7 @@ class TestDegenerateSingleSlot:
         assert jtp_plan.actr == pytest.approx(stp_plan.actr, abs=1e-12)
         assert np.allclose(jtp_plan.power.powers, stp_plan.power.powers)
 
-    def test_matches_grid_search_oracle(self, one_slot_cfg):
+    def test_matches_grid_search_oracle(self, one_slot_cfg, monkeypatch):
         # independent 1-D search over the same restricted feasible set:
         # q is pinned, the bound slack sits at var_bob, the cone slack at its
         # norm; covertness caps the power, the outage row then fixes the rate
@@ -430,8 +427,9 @@ class TestDegenerateSingleSlot:
         r_oracle = r_t + math.log1p(room / c2rt) / math.log(2.0)
 
         sub = assemble_subproblem(exp, cfg)
-        from covertuav.cvxsolver import SolverSettings, solve
-        res = solve(sub, settings=SolverSettings(kkt_tol=1e-9, max_iters=400))
+        monkeypatch.setattr(cvxsolver, "KKT_TOL", 1e-9)
+        monkeypatch.setattr(cvxsolver, "MAX_ITERS", 400)
+        res = cvxsolver.solve(sub)
         assert res.status == "optimal"
         assert -res.objective == pytest.approx(r_oracle, abs=1e-4)
 
