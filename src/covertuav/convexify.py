@@ -14,19 +14,23 @@ This module turns them into a smooth convex subproblem:
   side and are tangent at the expansion point, so any point feasible for the
   subproblem is feasible for the original constraints; the tangent-bound
   slack on lambda + 1 sits at its optimum g5(q) + 1, which is affine in the
-  waypoint, since both rows fall as it grows;
+  waypoint, since both rows fall as it grows. The paper's auxiliary variable
+  u1 enters only through sqrt(u1), so the subproblem carries t = sqrt(u1)
+  instead: row E is then linear in t, row D quadratic, and row E alone keeps
+  t above ln(1 + beta1 P / (lam + 2 + H^2/var)) > 0, so t needs no floor;
 * mobility and power limits enter directly (steps are capped in squared form,
   which stays smooth when consecutive waypoints coincide while hovering).
 
 The slack forms themselves, bti_outage_residuals and covertness_residuals,
-stay as reference oracles. The subproblem has four residual families: the
-step caps (mobility), the average-power budget, the simple bounds, and one
-slot family whose three rows per slot (outage A, covertness D and E) share
-one gather of the slot's variables. A fixed waypoint (the landing point in
-the joint scheme, every waypoint in the power-only one) enters the rows as a
-constant, so the power-only subproblem is the joint one with every waypoint
-fixed. Each family returns analytic gradients and its Hessians only at the
-entries of its declared pattern.
+stay as reference oracles in the paper's u1. The subproblem has four residual
+families: the step caps (mobility), the average-power budget, three simple
+bounds per slot (peak power, a power floor under the outage row's 1/P, the
+rate floor), and one slot family whose three rows per slot (outage A,
+covertness D and E) share one gather of the slot's variables. A fixed
+waypoint (the landing point in the joint scheme, every waypoint in the
+power-only one) enters the rows as a constant, so the power-only subproblem
+is the joint one with every waypoint fixed. Each family returns analytic
+gradients and its Hessians only at the entries of its declared pattern.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvxsolver import residual_values, row_label
-from .detection import POSITIVE_FLOOR, DetectionModel, lambda_of, xi_lower_bound
+from .detection import DetectionModel, lambda_of, xi_lower_bound
 from .scenario import (
     FEAS_RTOL,
     RATE_FLOOR,
@@ -49,8 +53,7 @@ from .scenario import (
     check_power,
 )
 
-# Lower bounds for subproblem variables whose residuals involve sqrt or 1/x.
-U_FLOOR = 1e-10
+# Lower bound on the subproblem's powers, whose outage row involves 1/P.
 P_FLOOR = 1e-11
 
 # Step-radius inflation inside the subproblem. Minimum-time flights force
@@ -77,24 +80,24 @@ class InfeasibleExpansionError(ValueError):
 class ExpansionPoint:
     """Feasible point the surrogates are linearized around.
 
-    u1_tilde parametrizes the bilinear-sqrt surrogate and must be positive.
-    The expansion point itself is the subproblem's start, which must be
-    strictly feasible.
+    t_tilde = sqrt(u1_tilde) parametrizes the bilinear-sqrt surrogate and
+    must be positive. The expansion point itself is the subproblem's start,
+    which must be strictly feasible.
     """
 
     traj_tilde: Trajectory
     p_tilde: PowerSchedule
     r_tilde: RateSchedule
-    u1_tilde: np.ndarray
+    t_tilde: np.ndarray
 
     def __post_init__(self):
-        u1 = np.asarray(self.u1_tilde, dtype=float).reshape(-1).copy()
-        if not len(self.p_tilde) == len(self.r_tilde) == u1.size == len(self.traj_tilde):
+        t = np.asarray(self.t_tilde, dtype=float).reshape(-1).copy()
+        if not len(self.p_tilde) == len(self.r_tilde) == t.size == len(self.traj_tilde):
             raise ValueError("expansion point arrays disagree on slot count")
-        if np.any(u1 < POSITIVE_FLOOR):
-            raise ValueError("u1_tilde must be positive")
-        u1.flags.writeable = False
-        object.__setattr__(self, "u1_tilde", u1)
+        if not np.all(t > 0.0):
+            raise ValueError("t_tilde must be positive")
+        t.flags.writeable = False
+        object.__setattr__(self, "t_tilde", t)
 
     @property
     def num_slots(self) -> int:
@@ -125,7 +128,7 @@ def g2(q, u1, q_t, u1_t, willie_est, var_willie: float):
     """
     q = np.asarray(q, dtype=float)
     u1 = np.asarray(u1, dtype=float)
-    u1_t = np.maximum(np.asarray(u1_t, dtype=float), POSITIVE_FLOOR)
+    u1_t = np.asarray(u1_t, dtype=float)
     lam = np.sum((q - willie_est) ** 2, axis=-1) / var_willie
     lam_t = np.sum((np.asarray(q_t, dtype=float) - willie_est) ** 2, axis=-1) / var_willie
     a = lam_t + 1.0
@@ -210,9 +213,9 @@ def covertness_residuals(q, p, u1, u2, exp_pt: ExpansionPoint, model: DetectionM
                          rho_w: float, willie_est):
     """Per-slot residuals (D, E, F) of the convexified covertness constraint.
 
-    Surrogates are linearized at exp_pt. Feasible when <= 0; jointly with the
-    slack relations they imply the closed-form error-rate bound stays above
-    1 - rho_w.
+    Surrogates are linearized at exp_pt, whose u1 is t_tilde^2. Feasible
+    when <= 0; jointly with the slack relations they imply the closed-form
+    error-rate bound stays above 1 - rho_w.
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     p = np.asarray(p, dtype=float)
@@ -220,7 +223,7 @@ def covertness_residuals(q, p, u1, u2, exp_pt: ExpansionPoint, model: DetectionM
     u2 = np.asarray(u2, dtype=float)
     q_t = exp_pt.traj_tilde.waypoints
     p_t = exp_pt.p_tilde.powers
-    u1_t = exp_pt.u1_tilde
+    u1_t = exp_pt.t_tilde ** 2
     k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w
     res_d = (
         math.sqrt(math.pi / 2.0) * g2(q, u1, q_t, u1_t, willie_est, model.var_willie)
@@ -245,7 +248,7 @@ def covertness_residuals(q, p, u1, u2, exp_pt: ExpansionPoint, model: DetectionM
 class VarLayout:
     """Maps per-slot named variables to flat vector indices.
 
-    Each slot holds (qx, qy, p, r, u1) in that order, or (p, r, u1) when its
+    Each slot holds (qx, qy, p, r, t) in that order, or (p, r, t) when its
     waypoint is fixed (the final one always is; all of them are in the
     power-only scheme); fixed waypoints carry index -1.
     """
@@ -256,7 +259,7 @@ class VarLayout:
     qy: np.ndarray
     p: np.ndarray
     r: np.ndarray
-    u1: np.ndarray
+    t: np.ndarray
     n_var: int
 
     @classmethod
@@ -266,7 +269,7 @@ class VarLayout:
         first = np.cumsum(width) - width
         p = first + np.where(q_free, 2, 0)
         idx = {"qx": np.where(q_free, first, -1), "qy": np.where(q_free, first + 1, -1),
-               "p": p, "r": p + 1, "u1": p + 2}
+               "p": p, "r": p + 1, "t": p + 2}
         for name in idx:
             idx[name] = idx[name].astype(np.int64)
             idx[name].flags.writeable = False
@@ -391,18 +394,20 @@ _LN2 = math.log(2.0)
 
 class SlotFamily(ResidualFamily):
     """The outage row and the two covertness rows of every slot, over one
-    gather of the slot's [qx, qy, P, R, u1].
+    gather of the slot's [qx, qy, P, R, t], t = sqrt(u1).
 
     Rows per slot, in this order, with per-slot constants of the expansion
     point (c_a holds the bound slack's a_b eps^2):
       outage_A: c_a + |q - bob|^2 + s_b sqrt(2 eps^4 + 2 eps^2 |q - bob|^2)
                 + C1 (1/P - 1/Pt) + C2 2^Rt expm1(ln2 (R - Rt)),
-      covert_D: c_d + l_d P + m_d u1 - sqrt(u1) + n_d |q - willie|^2
-                - k_w sqrt(sl),
-      covert_E: c_e + l_e P - sqrt(u1) + n_e |q - willie|^2 - ln(sl + e_c),
+      covert_D: c_d + l_d P + m_d t^2 - t + n_d |q - willie|^2 - k_w sqrt(sl),
+      covert_E: c_e + l_e P - t + n_e |q - willie|^2 - ln(sl + e_c),
     where sl = g5(q) + 1 = lam_t + 1 + g5_grad . (q - q_t) is the tangent-
     bound slack at its optimum, affine in q; its tails are convex and
-    decreasing, so D and E are convex. A's square root is the cone slack's
+    decreasing, so D and E are convex. In t, the bilinear-sqrt surrogate
+    sqrt(pi/2) g2 is a_2 (lam + 1) + m_d t^2 with a_2 = sqrt(pi/2) t_t /
+    (2 sqrt(lam_t + 1)) and m_d = sqrt(pi/2) sqrt(lam_t + 1) / (2 t_t). A's
+    square root is the cone slack's
     norm, smooth because of the eps^4 term. A's expansion-relative terms are
     kept in difference form: the raw coefficients reach ~gamma0/(2^Rt - 1)^2,
     and evaluating them against a separate constant would cancel ~1e10
@@ -411,7 +416,7 @@ class SlotFamily(ResidualFamily):
     Free waypoints come first (the layout fixes at most the trailing ones);
     a fixed waypoint (index -1) folds its terms into the row constants. The
     Hessian of each row is nonzero only on the waypoint block and on the
-    diagonal of P, R and u1.
+    diagonal of P, R and t, where D's t entry is the constant 2 m_d.
     """
 
     name = "slot"
@@ -427,7 +432,7 @@ class SlotFamily(ResidualFamily):
         if not free[:nf].all():
             raise ValueError("free waypoints must precede the fixed ones")
         q_t, p_t, r_t = exp.traj_tilde.waypoints, exp.p_tilde.powers, exp.r_tilde.rates
-        u1_t = exp.u1_tilde
+        t_t = exp.t_tilde
         eps2, h2, var_w = cfg.var_bob, cfg.altitude_H**2, cfg.var_willie
         h2v = model.h2_over_var
         a_b = -math.log(cfg.rho_b)
@@ -440,10 +445,10 @@ class SlotFamily(ResidualFamily):
         c0 = cfg.gamma0 * p_t / e_rt
         c1 = cfg.gamma0 * p_t * p_t / e_rt
         c2 = cfg.gamma0 * p_t / (e_rt * e_rt)
-        # g2 coefficients, scaled by sqrt(pi/2)
-        a0 = np.sqrt(lam1_t * u1_t)
-        a1 = c_sq * 0.5 * np.sqrt(lam1_t / u1_t)
-        a2 = c_sq * 0.5 * np.sqrt(u1_t / lam1_t)
+        # g2 coefficients in t, scaled by sqrt(pi/2)
+        sq1_t = np.sqrt(lam1_t)
+        a1 = c_sq * 0.5 * sq1_t / t_t
+        a2 = c_sq * 0.5 * t_t / sq1_t
         # g3 coefficients
         bw = model.beta1 * var_w
         b0 = np.log1p(bw * p_t / h2)
@@ -466,7 +471,7 @@ class SlotFamily(ResidualFamily):
         # c_a, c_d, c_e; outage A keeps its expansion-relative terms apart
         self.const = np.stack([
             2.0 * eps2 + a_b * eps2 + h2 - c0,
-            c_sq * a0 - a1 * u1_t - a2 * lam_t + b0 - b1 * p_t,
+            a2 + b0 - b1 * p_t,
             np.log(denom) - (lam_t + model.beta1 * p_t) / denom])
         self._add_q_values(self.const[:, nf:], *np.asarray(fixed_w, dtype=float)[nf:].T, *(
             x[nf:] for x in (q_t[:, 0], q_t[:, 1], g5[:, 0], g5[:, 1], lam1_t,
@@ -477,6 +482,7 @@ class SlotFamily(ResidualFamily):
         self.g_const = np.zeros((3, 5, len(self.idx)))
         self.g_const[1, 2] = self.l_d
         self.g_const[2, 2] = self.l_e
+        self.g_const[2, 4] = -1.0
 
     def _slack(self, qx, qy, qtx, qty, gx, gy, lam1_t):
         return lam1_t + (gx * (qx - qtx) + gy * (qy - qty))
@@ -497,16 +503,15 @@ class SlotFamily(ResidualFamily):
 
     def values(self, V):
         nf = self.nf
-        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        p, r, t = V[:, 2], V[:, 3], V[:, 4]
         out = np.empty((3, V.shape[0]))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             rest = (self.c1 * (self.p_t - p) / (p * self.p_t)
                     + self.c2rt * np.expm1(_LN2 * (r - self.r_t)))
             # 1/p is only the convex branch for positive power
             out[0] = np.where(p > 0.0, rest, np.inf)
-            su = np.sqrt(u1)
-            out[1] = self.l_d * p + self.m_d * u1 - su
-            out[2] = self.l_e * p - su
+            out[1] = self.l_d * p + (self.m_d * t - 1.0) * t
+            out[2] = self.l_e * p - t
             out += self.const
             if nf:
                 self._add_q_values(out[:, :nf], V[:nf, 0], V[:nf, 1], *self.q_free)
@@ -514,13 +519,11 @@ class SlotFamily(ResidualFamily):
 
     def grads(self, V):
         nf = self.nf
-        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        p, r, t = V[:, 2], V[:, 3], V[:, 4]
         g = self.g_const.copy()
         g[0, 2] = -self.c1 / (p * p)
         g[0, 3] = (self.c2rt * _LN2) * np.exp2(r - self.r_t)
-        half_isu = 0.5 / np.sqrt(u1)
-        g[1, 4] = self.m_d - half_isu
-        np.negative(half_isu, out=g[2, 4])
+        g[1, 4] = 2.0 * self.m_d * t - 1.0
         if nf:
             qx, qy = V[:nf, 0], V[:nf, 1]
             qtx, qty, gx, gy, lam1_t, n_d, n_e = self.q_free
@@ -540,12 +543,11 @@ class SlotFamily(ResidualFamily):
 
     def hess(self, V):
         nf = self.nf
-        p, r, u1 = V[:, 2], V[:, 3], V[:, 4]
+        p, r = V[:, 2], V[:, 3]
         h = np.zeros((3, 6, V.shape[0]))
         h[0, 3] = (2.0 * self.c1) / (p * p * p)
         h[0, 4] = (self.c2rt * _LN2**2) * np.exp2(r - self.r_t)
-        h[1, 5] = 0.25 / (u1 * np.sqrt(u1))
-        h[2, 5] = h[1, 5]
+        h[1, 5] = 2.0 * self.m_d
         if nf:
             qx, qy = V[:nf, 0], V[:nf, 1]
             qtx, qty, gx, gy, lam1_t, n_d, n_e = self.q_free
@@ -596,15 +598,14 @@ class ConvexSubproblem:
         return residual_values(self.families, v)
 
     def unpack(self, v: np.ndarray):
-        """(trajectory, powers, rates, u1) of a subproblem point."""
+        """(trajectory, powers, rates, t) of a subproblem point, as they are."""
         lay = self.layout
         free = lay.qx >= 0
         w = self.fixed_waypoints.copy()
         w[free, 0] = v[lay.qx[free]]
         w[free, 1] = v[lay.qy[free]]
-        powers = PowerSchedule(np.maximum(v[lay.p], 0.0))
-        rates = RateSchedule(np.maximum(v[lay.r], RATE_FLOOR))
-        return Trajectory(w), powers, rates, v[lay.u1].copy()
+        return (Trajectory(w), PowerSchedule(v[lay.p]), RateSchedule(v[lay.r]),
+                v[lay.t].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +691,7 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
     """Build the convex restricted subproblem at a feasible expansion point.
 
     With fixed_trajectory the waypoints are frozen at the expansion trajectory
-    and only power, rate and u1 variables remain (the power-only scheme).
+    and only power, rate and t variables remain (the power-only scheme).
     margins, when given, are exact_feasibility's margins at exp, which are then
     checked rather than computed again.
     """
@@ -738,18 +739,18 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
         name="power_avg",
     ))
 
-    # --- simple bounds, four rows per slot ------------------------------------
+    # --- simple bounds, three rows per slot -----------------------------------
     families.append(LinearFamily(
-        idx=np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1).reshape(-1, 1),
-        coef=np.tile([1.0, -1.0, -1.0, -1.0], n)[:, None],
-        const=np.tile([-cfg.p_peak_max, P_FLOOR, RATE_FLOOR, U_FLOOR], n),
+        idx=np.stack([lay.p, lay.p, lay.r], axis=1).reshape(-1, 1),
+        coef=np.tile([1.0, -1.0, -1.0], n)[:, None],
+        const=np.tile([-cfg.p_peak_max, P_FLOOR, RATE_FLOOR], n),
         name="bounds",
-        kinds=("power_peak", "power_floor", "rate_floor", "u1_floor"),
+        kinds=("power_peak", "power_floor", "rate_floor"),
     ))
 
     # --- outage and covertness, three rows per slot ---------------------------
     families.append(SlotFamily(
-        np.stack([lay.qx, lay.qy, lay.p, lay.r, lay.u1], axis=1), fixed_w, exp, cfg, model))
+        np.stack([lay.qx, lay.qy, lay.p, lay.r, lay.t], axis=1), fixed_w, exp, cfg, model))
     free = lay.qx >= 0
 
     # --- objective, start, scales ------------------------------------------
@@ -758,22 +759,22 @@ def assemble_subproblem(exp: ExpansionPoint, cfg: ScenarioConfig,
 
     scale = np.ones(lay.n_var)
     scale[lay.qx[free]] = scale[lay.qy[free]] = 100.0
-    # each power in units of its own expansion value: powers can sit many
-    # decades under the budget, where a budget-sized unit leaves the Newton
-    # system unable to resolve them
-    scale[lay.p] = np.maximum(exp.p_tilde.powers, 2.0 * P_FLOOR)
-    scale[lay.r] = 1.0
-    scale[lay.u1] = max(float(np.median(exp.u1_tilde)), 1e-6)
+    # each power and each t in units of its own expansion value: powers can
+    # sit many decades under the budget, where a budget-sized unit leaves the
+    # Newton system unable to resolve them
+    scale[lay.p] = exp.p_tilde.powers
+    scale[lay.t] = exp.t_tilde
 
     # the start is the expansion point, which the previous solve (or the
-    # initializer) leaves strictly feasible; a start that is not is rejected
-    # below, never repaired
+    # initializer) leaves strictly feasible: restriction and tangency keep a
+    # strictly interior iterate strictly interior for the next restriction.
+    # A start that is not is rejected below, never repaired
     start = np.zeros(lay.n_var)
     start[lay.qx[free]] = q_t[free, 0]
     start[lay.qy[free]] = q_t[free, 1]
-    start[lay.p] = np.clip(exp.p_tilde.powers, 2.0 * P_FLOOR, cfg.p_peak_max * (1.0 - 1e-9))
+    start[lay.p] = exp.p_tilde.powers
     start[lay.r] = exp.r_tilde.rates
-    start[lay.u1] = np.maximum(exp.u1_tilde, 2.0 * U_FLOOR)
+    start[lay.t] = exp.t_tilde
 
     sub = ConvexSubproblem(
         layout=lay, obj_coef=obj, families=families, start=start,

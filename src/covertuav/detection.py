@@ -27,9 +27,6 @@ from scipy.special import i0e
 
 from .scenario import ScenarioConfig
 
-# Variable lower bound guarding expressions of the form sqrt(u) and 1/u.
-POSITIVE_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class DetectionModel:

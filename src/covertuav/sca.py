@@ -4,13 +4,13 @@ The initializer flies the max-speed line-segment path (out to the receiver's
 estimated position, hover, max-speed leg to the landing point, with a midway
 turn when the flight period is too short to reach the receiver). Every slot
 then gets the largest power its own covertness rows allow at the start the
-subproblem is handed, with the auxiliary variable u1 just above the smallest
-value covertness row E accepts there. When those caps overrun the average
-budget, the powers are water-filled under it. Per-slot rates come out of the
-outage inequality in closed form. The restriction's rate surrogate can at
-most double a slot's SNR term per pass, so a start below these caps would
-spend its first passes climbing; on the line path with a slack budget the
-start is the power-only scheme's limit.
+subproblem is handed, with the auxiliary variable t = sqrt(u1) just above
+the smallest value covertness row E accepts there. When those caps overrun
+the average budget, the powers are water-filled under it. Per-slot rates
+come out of the outage inequality in closed form. The restriction's rate
+surrogate can at most double a slot's SNR term per pass, so a start below
+these caps would spend its first passes climbing; on the line path with a
+slack budget the start is the power-only scheme's limit.
 
 Each outer iteration assembles the convex restriction at the current point,
 solves it from there with the previous solve's duals, re-verifies the exact
@@ -19,7 +19,9 @@ and repeats until two consecutive SCA iterates' mean rates agree, both in
 absolute terms (sca_tolerance) and relative to the rate itself. The start is
 not an SCA iterate, so the first solve's step never stops the loop.
 Restriction plus tangency make the objective nondecreasing and every iterate
-feasible for the original problem, so no damping or trust region is needed.
+feasible for the original problem, so no damping or trust region is needed;
+a solve's strictly interior iterate is also strictly interior for the next
+restriction, so it becomes the next start exactly as it is.
 A solve that stops short ("stalled" or "max_iters") ends the loop. So does a
 solve that ends below its start's rate, and the loop keeps the start: cut
 short, the solve says nothing more; optimal, it leaves the start within the
@@ -38,7 +40,6 @@ from .convexify import (
     ExpansionPoint,
     InfeasibleExpansionError,
     P_FLOOR,
-    U_FLOOR,
     assemble_subproblem,
     exact_feasibility,
     exact_feasible,
@@ -211,11 +212,10 @@ def line_segment_trajectory(cfg: ScenarioConfig) -> Trajectory:
 # initial feasible point
 # ---------------------------------------------------------------------------
 
-def _start_u1(ln_a):
-    """u1 at the start: just above ln_a^2, where covertness row E (ln_a -
-    sqrt(u1) at the start) is strictly negative, and at least the
-    subproblem's start floor 2 U_FLOOR."""
-    return np.maximum((ln_a * (1.0 + 1e-7) + 1e-12) ** 2, 2.0 * U_FLOOR)
+def _start_t(ln_a):
+    """t at the start: just above ln_a, where covertness row E (ln_a - t at
+    the start) is strictly negative."""
+    return ln_a * (1.0 + 1e-7) + 1e-12
 
 
 def _ln_a(p, lam, model: DetectionModel):
@@ -227,8 +227,8 @@ def _covert_start_ok(p, lam: np.ndarray, model: DetectionModel,
     """Per slot: does power p[i] leave slot i's covertness rows strictly satisfied?
 
     Checks the assembled rows at the start the initializer hands the
-    subproblem: u1 at _start_u1 and the tangent-bound slack at its optimum
-    lam + 1, where row E holds by construction. Row D, (c - 1) sqrt(u1) +
+    subproblem: t at _start_t and the tangent-bound slack at its optimum
+    lam + 1, where row E holds by construction. Row D, (c - 1) t +
     ln(1 + beta1 var p / H^2) - k_w sqrt(lam + 1) with c = sqrt(pi/2)
     sqrt(lam + 1) > 1, must hold with a 1e-6 margin, and the exact error-rate
     bound with 1e-9. Both only tighten as p grows, so bisection applies.
@@ -236,7 +236,7 @@ def _covert_start_ok(p, lam: np.ndarray, model: DetectionModel,
     sq = np.sqrt(lam + 1.0)
     ln_b = np.log1p(model.beta1 * model.var_willie * p / model.altitude_H**2)
     k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * rho_w
-    res_d = ((math.sqrt(math.pi / 2.0) * sq - 1.0) * np.sqrt(_start_u1(_ln_a(p, lam, model)))
+    res_d = ((math.sqrt(math.pi / 2.0) * sq - 1.0) * _start_t(_ln_a(p, lam, model))
              + ln_b - k_w * sq)
     exact = (1.0 - rho_w) - xi_lower_bound(lam, p, model)
     return (res_d <= -1e-6) & (exact <= -1e-9)
@@ -277,7 +277,7 @@ def initial_point(cfg: ScenarioConfig, margins: dict | None = None) -> Expansion
 
     Each slot's power is bisected against the subproblem's own covertness
     rows at the start (slightly stricter than the closed-form error-rate
-    bound, which they imply), with u1 just above the square of
+    bound, which they imply), with t just above
     ln(1 + beta1 P / (lam + 2 + H^2/var)), the smallest value row E accepts,
     so the assembled restriction is strictly feasible at the start. When the
     caps overrun the average budget, the powers are water-filled under it
@@ -296,7 +296,8 @@ def initial_point(cfg: ScenarioConfig, margins: dict | None = None) -> Expansion
     budget = min(("p_avg_max", cfg.p_avg_max), ("p_peak_max", cfg.p_peak_max),
                  key=lambda item: item[1])
     if budget[1] * (1.0 - 1e-6) < 2.0 * P_FLOOR:
-        # the subproblem keeps every power above P_FLOOR and starts at 2 P_FLOOR
+        # the subproblem keeps every power above P_FLOOR, and the start's
+        # powers at least 2.5 P_FLOOR
         raise InfeasibleScenarioError(
             f"power budget below the planner's power floor ({budget[0]} = "
             f"{budget[1]:g} W; the planner needs more than {2.0 * P_FLOOR:g} W)")
@@ -345,7 +346,7 @@ def initial_point(cfg: ScenarioConfig, margins: dict | None = None) -> Expansion
         traj_tilde=traj,
         p_tilde=PowerSchedule(powers),
         r_tilde=RateSchedule(rates),
-        u1_tilde=_start_u1(_ln_a(powers, lam, model)),
+        t_tilde=_start_t(_ln_a(powers, lam, model)),
     )
     found = exact_feasibility(traj, exp.p_tilde, exp.r_tilde, cfg, model)
     if not exact_feasible(found, cfg):
@@ -406,7 +407,7 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool, start: ExpansionPoint 
         res = cvxsolver.solve(sub, duals=duals)
         records.append(SolveRecord.of(res))
         duals = res.duals
-        traj, powers, rates, u1 = sub.unpack(res.variables)
+        traj, powers, rates, t = sub.unpack(res.variables)
         if rates.mean < objectives[-1]:
             # a solve may end below its start, which is feasible by
             # construction: keep the start. One cut short says so; an optimal
@@ -421,10 +422,7 @@ def _run_sca(cfg: ScenarioConfig, fixed_trajectory: bool, start: ExpansionPoint 
             reason = "feasibility_regression"
             break
         margins = candidate
-        exp = ExpansionPoint(
-            traj_tilde=traj, p_tilde=powers, r_tilde=rates,
-            u1_tilde=np.maximum(u1, 2.0 * U_FLOOR),
-        )
+        exp = ExpansionPoint(traj_tilde=traj, p_tilde=powers, r_tilde=rates, t_tilde=t)
         objectives.append(rates.mean)
         points.append(exp)
         if res.status in _SOLVE_STOPS:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import chndtr, i0e, ndtr, ndtri
 
-from .detection import DetectionModel, g_of, min_total_error, g_upper
+from .detection import DetectionModel, min_total_error
 from .scenario import ScenarioConfig
 from .sca import Plan
 
@@ -335,68 +335,6 @@ def _threshold_grid_excess(ew_pow: np.ndarray, xi_closed: np.ndarray,
             tot = fa[None, :] + miss_detection(grid[None, :], ew_pow[rows, None], model)
             grid_min[rows] = tot.min(axis=1)
     return float(np.max(xi_closed - grid_min))
-
-
-# ---------------------------------------------------------------------------
-# analytic-bound audit
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoundAuditRow:
-    lam: float
-    p: float
-    mean_g: float          # quadrature value of E[g(X)]
-    bound_mean_mad: float  # mean/MAD two-point bound
-    bound_final: float     # simplified bound used by the optimizer
-    xi_bar: float
-    xi_check: float
-
-    @property
-    def ordered(self) -> bool:
-        tol = 1e-9 * max(1.0, abs(self.bound_final))
-        return (self.mean_g <= self.bound_mean_mad + tol
-                and self.bound_mean_mad <= self.bound_final + tol)
-
-
-@dataclass
-class BoundAuditReport:
-    rows: list
-    violations: list  # (lam, p, description), empty when every bound held
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def bound_audit(cfg: ScenarioConfig, lam_grid, p_grid) -> BoundAuditReport:
-    """Check the chain: quadrature E[g] <= mean/MAD bound <= final bound,
-    equivalently xi_bar >= xi_check, over a (lambda, power) grid.
-
-    Grid points that violate a bound are listed, not asserted away.
-    """
-    model = DetectionModel.from_config(cfg)
-    rows: list[BoundAuditRow] = []
-    violations: list[tuple] = []
-    for lam in np.asarray(lam_grid, dtype=float):
-        mu = lam + 2.0
-        theta = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(lam + 1.0)
-        for p in np.asarray(p_grid, dtype=float):
-            eg = mean_g_quadrature(lam, p, model)
-            g_mu = float(g_of(mu, p, model))
-            g_0 = float(g_of(0.0, p, model))
-            # two-point bound with the limit term of g vanishing at infinity
-            bound_b = g_mu + 0.5 * theta * (0.0 + (g_0 - g_mu) / mu)
-            bound_c = float(g_upper(lam, p, model))
-            xi_bar = 1.0 - eg / model.two_ln_rho
-            xi_check = 1.0 - bound_c / model.two_ln_rho
-            row = BoundAuditRow(float(lam), float(p), eg, bound_b, bound_c,
-                                xi_bar, xi_check)
-            rows.append(row)
-            if not row.ordered:
-                violations.append((float(lam), float(p), "bound chain broken"))
-            if xi_bar < xi_check - 1e-9:
-                violations.append((float(lam), float(p), "xi_bar below xi_check"))
-    return BoundAuditReport(rows=rows, violations=violations)
 
 
 # ---------------------------------------------------------------------------

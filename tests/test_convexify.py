@@ -9,7 +9,6 @@ from covertuav.convexify import (
     ConvexSubproblem,
     ExpansionPoint,
     InfeasibleExpansionError,
-    U_FLOOR,
     assemble_subproblem,
     bti_outage_residuals,
     covertness_residuals,
@@ -251,7 +250,7 @@ class TestCovertnessResiduals:
         model = DetectionModel.from_config(cfg)
         lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
         d, e, f = covertness_residuals(
-            exp.traj_tilde.waypoints, exp.p_tilde.powers, exp.u1_tilde,
+            exp.traj_tilde.waypoints, exp.p_tilde.powers, exp.t_tilde ** 2,
             lam + 1.0, exp, model, cfg.rho_w, cfg.willie_est)
         assert np.all(d <= 1e-9)
         assert np.all(e <= 1e-9)
@@ -272,7 +271,7 @@ class TestCovertnessResiduals:
         model = DetectionModel.from_config(cfg)
         lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
         d, e, f = covertness_residuals(
-            exp.traj_tilde.waypoints, np.zeros(cfg.num_slots_N), exp.u1_tilde,
+            exp.traj_tilde.waypoints, np.zeros(cfg.num_slots_N), exp.t_tilde ** 2,
             lam + 1.0, exp, model, cfg.rho_w, cfg.willie_est)
         assert np.all(d <= 1e-9) and np.all(e <= 1e-9) and np.all(f <= 1e-9)
 
@@ -285,34 +284,34 @@ def sub(cfg):
 class TestAssembledSubproblem:
     def test_layout_counts(self, cfg, sub):
         n = cfg.num_slots_N
-        # final waypoint eliminated: 5 scalars (qx, qy, p, r, u1) for n-1
+        # final waypoint eliminated: 5 scalars (qx, qy, p, r, t) for n-1
         # slots, 3 for the last
         assert sub.n_var == 5 * n - 2
         # four families: every step (the first and last against a fixed
-        # end), the budget, the simple bounds and three rows per slot
+        # end), the budget, three simple bounds and three rows per slot
         by_name = {f.name: f.m for f in sub.families}
-        assert by_name == {"mobility": n, "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
-        first_slot_row = n + 1 + 4 * n  # the slot family comes last
+        assert by_name == {"mobility": n, "power_avg": 1, "bounds": 3 * n, "slot": 3 * n}
+        first_slot_row = n + 1 + 3 * n  # the slot family comes last
         assert [row_label(sub.families, first_slot_row + r) for r in range(6)] == [
             "outage_A[0]", "covert_D[0]", "covert_E[0]",
             "outage_A[1]", "covert_D[1]", "covert_E[1]"]
         m = sum(f.m for f in sub.families)
-        assert m == n + 1 + 4 * n + 3 * n
+        assert m == 7 * n + 1
         assert row_label(sub.families, m - 1) == f"covert_E[{n - 1}]"
         stp = assemble_subproblem(sub.expansion, cfg, fixed_trajectory=True)
         assert {f.name: f.m for f in stp.families} == {
-            "power_avg": 1, "bounds": 4 * n, "slot": 3 * n}
+            "power_avg": 1, "bounds": 3 * n, "slot": 3 * n}
 
     def test_bound_rows_in_slot_order(self, cfg, sub):
-        # four rows per slot, slot by slot: peak power, power floor, rate
-        # floor, u1 floor
+        # three rows per slot, slot by slot: peak power, power floor, rate
+        # floor; row E keeps t positive, so t has no bound row
         bounds = next(f for f in sub.families if f.name == "bounds")
         lay = sub.layout
-        kinds = ("power_peak", "power_floor", "rate_floor", "u1_floor")
-        assert [row_label([bounds], r) for r in range(8)] == [
+        kinds = ("power_peak", "power_floor", "rate_floor")
+        assert [row_label([bounds], r) for r in range(6)] == [
             f"{k}[{i}]" for i in (0, 1) for k in kinds]
-        assert np.array_equal(bounds.idx[:, 0].reshape(-1, 4),
-                              np.stack([lay.p, lay.p, lay.r, lay.u1], axis=1))
+        assert np.array_equal(bounds.idx[:, 0].reshape(-1, 3),
+                              np.stack([lay.p, lay.p, lay.r], axis=1))
 
     def test_row_labels_follow_the_scheme(self, small_cfg):
         # every row of the JTP and STP subproblems is kind[i], slot by slot
@@ -324,7 +323,7 @@ class TestAssembledSubproblem:
             sub = assemble_subproblem(exp, small_cfg, fixed_trajectory=fixed)
             expect = [] if fixed else [f"mobility[{i}]" for i in range(n)]
             expect.append("power_avg[0]")
-            for kinds in (("power_peak", "power_floor", "rate_floor", "u1_floor"),
+            for kinds in (("power_peak", "power_floor", "rate_floor"),
                           ("outage_A", "covert_D", "covert_E")):
                 expect += [f"{k}[{i}]" for i in range(n) for k in kinds]
             m = sum(f.m for f in sub.families)
@@ -336,16 +335,19 @@ class TestAssembledSubproblem:
         assert float(np.max(sub.eval_values(sub.start))) < 0.0
 
     def test_expansion_point_residuals_nonpositive(self, cfg, sub):
-        # evaluating at the expansion point itself (u1 at its tangency value)
-        # keeps every surrogate row at or below zero
+        # the start is the expansion point itself, bit for bit (t at its
+        # tangency value), and every surrogate row is strictly negative there
         exp = sub.expansion
         lay = sub.layout
-        v = sub.start.copy()
+        free = lay.qx >= 0
+        v = np.empty(sub.n_var)
+        v[lay.qx[free]] = exp.traj_tilde.waypoints[free, 0]
+        v[lay.qy[free]] = exp.traj_tilde.waypoints[free, 1]
         v[lay.p] = exp.p_tilde.powers
         v[lay.r] = exp.r_tilde.rates
-        v[lay.u1] = exp.u1_tilde
-        vals = sub.eval_values(v)
-        assert float(np.max(vals)) <= 1e-9
+        v[lay.t] = exp.t_tilde
+        assert np.array_equal(v, sub.start)
+        assert float(np.max(sub.eval_values(v))) < 0.0
 
     def test_family_gradients_match_finite_differences(self, sub, rng):
         # linear families return their stored coefficients; only the
@@ -447,13 +449,13 @@ class TestAssembledSubproblem:
             assert checked >= 10, f"not enough in-domain samples for {fam.name}"
 
     def test_unpack_round_trip(self, cfg, sub):
-        traj, powers, rates, u1 = sub.unpack(sub.start)
+        traj, powers, rates, t = sub.unpack(sub.start)
         assert len(traj) == cfg.num_slots_N
         assert np.array_equal(traj.waypoints, sub.expansion.traj_tilde.waypoints)
         assert np.allclose(traj.waypoints[-1], cfg.q_final)
-        assert np.allclose(powers.powers, sub.expansion.p_tilde.powers)
+        assert np.array_equal(powers.powers, sub.expansion.p_tilde.powers)
         assert np.array_equal(rates.rates, sub.expansion.r_tilde.rates)
-        assert np.array_equal(u1, sub.expansion.u1_tilde)
+        assert np.array_equal(t, sub.expansion.t_tilde)
 
     def test_infeasible_expansion_rejected(self, cfg):
         exp = initial_point(cfg)
@@ -462,7 +464,7 @@ class TestAssembledSubproblem:
             traj_tilde=exp.traj_tilde,
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, 0.05)),
             r_tilde=exp.r_tilde,
-            u1_tilde=exp.u1_tilde,
+            t_tilde=exp.t_tilde,
         )
         with pytest.raises(InfeasibleExpansionError, match="covertness"):
             assemble_subproblem(bad, cfg)
@@ -470,23 +472,22 @@ class TestAssembledSubproblem:
             traj_tilde=exp.traj_tilde,
             p_tilde=PowerSchedule(np.full(cfg.num_slots_N, cfg.p_peak_max)),
             r_tilde=exp.r_tilde,
-            u1_tilde=exp.u1_tilde,
+            t_tilde=exp.t_tilde,
         )
         with pytest.raises(InfeasibleExpansionError, match="power"):
             assemble_subproblem(over, cfg)
 
     @pytest.mark.parametrize("fixed", [False, True])
     def test_non_strict_warm_start_rejected(self, small_cfg, fixed):
-        # at the start, row E is ln_a - sqrt(u1), and the initializer seeds
-        # u1 just above ln_a^2; a warm-start u1 a millionth below that breaks
-        # it at one slot, and the start is the warm start or nothing
+        # at the start, row E is ln_a - t, and the initializer seeds t just
+        # above ln_a; a warm-start t a millionth below that breaks it at one
+        # slot, and the start is the warm start or nothing
         exp = initial_point(small_cfg)
-        u1 = exp.u1_tilde.copy()
-        u1[5] *= 1.0 - 1e-6
-        assert u1[5] > 2.0 * U_FLOOR  # the start does not floor it
+        t = exp.t_tilde.copy()
+        t[5] *= 1.0 - 1e-6
         nudged = ExpansionPoint(
             traj_tilde=exp.traj_tilde, p_tilde=exp.p_tilde, r_tilde=exp.r_tilde,
-            u1_tilde=u1,
+            t_tilde=t,
         )
         with pytest.raises(InfeasibleExpansionError,
                            match=r"covert_E\[5\]: start residual .* is not strictly negative"):
@@ -506,14 +507,15 @@ class TestStpAssembly:
 
 def slack_oracle_rows(sub, v):
     """The reference oracles' outage A, covertness D and covertness E rows at
-    the subproblem point v, with each slack at its closed-form optimum, and
-    each row's scale (its largest term, where its rounding lives): two
-    (slots, 3) arrays, plus row F, which the optimum makes tight."""
+    the subproblem point v, with each slack at its closed-form optimum and
+    u1 = t^2, and each row's scale (its largest term, where its rounding
+    lives): two (slots, 3) arrays, plus row F, which the optimum makes
+    tight."""
     cfg, exp = sub.cfg, sub.expansion
     model = DetectionModel.from_config(cfg)
     lay = sub.layout
     q = sub.unpack(v)[0].waypoints
-    p, r, u1 = v[lay.p], v[lay.r], v[lay.u1]
+    p, r, t = v[lay.p], v[lay.r], v[lay.t]
     dist2 = np.sum((q - cfg.bob_est) ** 2, axis=1)
     res_a, _, _ = bti_outage_residuals(
         q, p, r, np.full(len(q), cfg.var_bob),
@@ -521,18 +523,18 @@ def slack_oracle_rows(sub, v):
         p_t=exp.p_tilde.powers, r_t=exp.r_tilde.rates)
     slack = g5(q, exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie) + 1.0
     res_d, res_e, res_f = covertness_residuals(
-        q, p, u1, slack, exp, model, cfg.rho_w, cfg.willie_est)
+        q, p, t * t, slack, exp, model, cfg.rho_w, cfg.willie_est)
     lam = lambda_of(q, cfg.willie_est, cfg.var_willie)
     e_t = np.exp2(exp.r_tilde.rates) - 1.0
     scale = np.stack([cfg.altitude_H**2 + dist2
                       + cfg.gamma0 * exp.p_tilde.powers * np.exp2(r) / (e_t * e_t),
-                      np.sqrt((lam + 1.0) * np.maximum(u1, exp.u1_tilde)) + 1.0,
+                      np.sqrt(lam + 1.0) * np.maximum(t, exp.t_tilde) + 1.0,
                       np.log(lam + 2.0 + model.h2_over_var) + 1.0], axis=1)
     return np.stack([res_a, res_d, res_e], axis=1), scale, res_f / slack
 
 
 def jitter(sub, rng, spread=0.2, step_m=2.0):
-    """A point near the start: multiplicative jitter keeps p, r and u1
+    """A point near the start: multiplicative jitter keeps p, r and t
     positive, and free waypoints move by a few metres."""
     lay = sub.layout
     q_cols = np.concatenate([lay.qx[lay.qx >= 0], lay.qy[lay.qy >= 0]])
@@ -618,8 +620,9 @@ class TestSlotKernel:
         # differenced gradient entry for the Hessian
         for col in live:
             x = V[i, col]
-            # waypoints and rates are smooth on a unit scale; 1/P and sqrt(u1)
-            # need a step relative to the variable
+            # waypoints and rates are smooth on a unit scale; 1/P and t,
+            # which can sit decades under 1, need a step relative to the
+            # variable
             h = 1e-6 * max(abs(x), 1e-9 if col in (2, 4) else 1.0)
             fd = (at(col, x + h, fam.values) - at(col, x - h, fam.values)).reshape(n, 3)[i] / (2 * h)
             assert np.all(np.abs(G[:, col] - fd) <= 1e-6 * np.abs(fd) + 1e-13 * scale[i] / h), col

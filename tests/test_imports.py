@@ -8,7 +8,10 @@ syntax tree:
   its ``__all__`` (which is how ``__init__`` re-exports);
 - no function takes a module-level UPPER_CASE constant as a default argument
   value: such a default is frozen at import, so a test that monkeypatches the
-  constant would not reach it. Code reads its constants at call time.
+  constant would not reach it. Code reads its constants at call time;
+- every module-level UPPER_CASE constant is read somewhere in the package
+  besides its definition, so a floor or a tolerance that a change leaves
+  behind fails here rather than lingering as dead configuration.
 """
 
 import ast
@@ -80,3 +83,38 @@ def test_constant_checker_flags_what_it_should():
               "def g(x, s=scale, n=None):\n    return lambda y=PI: y\n")
     assert constant_defaults(source) == [
         "f: TOL (line 5)", "f: _CAP (line 5)", "lambda: PI (line 8)"]
+
+
+def unread_constants(sources: dict) -> list[str]:
+    """Module-level UPPER_CASE names assigned in any of the modules
+    (module name -> source) that no module reads, as a bare name or as an
+    attribute."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name) and name.id.lstrip("_").isupper():
+                        defined.setdefault(name.id, f"{module} line {node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name} ({where})" for name, where in defined.items() if name not in read]
+
+
+def test_every_constant_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unread_constants(sources) == []
+
+
+def test_unread_constant_checker_flags_what_it_should():
+    sources = {
+        "a.py": "TOL = 1e-7\n_CAP: int = 3\nFLOOR = 1e-10\nscale = 2.0\n"
+                "def f(x):\n    return x * _CAP\n",
+        "b.py": "from a import FLOOR\nimport a\nLEFT = a.TOL\n",
+    }
+    assert unread_constants(sources) == ["FLOOR (a.py line 3)", "LEFT (b.py line 3)"]

@@ -11,7 +11,6 @@ from test_cvxsolver import dual_tol
 from covertuav import convexify, cvxsolver, sca
 from covertuav.convexify import (
     P_FLOOR,
-    U_FLOOR,
     assemble_subproblem,
     exact_feasibility,
     exact_feasible,
@@ -72,20 +71,20 @@ class TestLineSegment:
 
 
 def start_rows(cfg, powers, lam):
-    """(u1, row D, row E, exact covertness margin) per slot at the start the
-    initializer hands the subproblem, for the given powers: u1 just above
-    ln_a^2, with ln_a = ln(1 + beta1 P / (lam + 2 + H^2/var)), and at least
-    2 U_FLOOR; the tangent-bound slack at its optimum lam + 1."""
+    """(t, row D, row E, exact covertness margin) per slot at the start the
+    initializer hands the subproblem, for the given powers: t = sqrt(u1) just
+    above ln_a = ln(1 + beta1 P / (lam + 2 + H^2/var)); the tangent-bound
+    slack at its optimum lam + 1."""
     model = DetectionModel.from_config(cfg)
     ln_a = np.log1p(model.beta1 * powers / (lam + 2.0 + model.h2_over_var))
-    u1 = np.maximum((ln_a * (1.0 + 1e-7) + 1e-12) ** 2, 2.0 * U_FLOOR)
+    t = ln_a * (1.0 + 1e-7) + 1e-12
     sq = np.sqrt(lam + 1.0)
     k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * cfg.rho_w
     ln_b = np.log1p(model.beta1 * cfg.var_willie * powers / cfg.altitude_H**2)
-    row_d = (math.sqrt(math.pi / 2.0) * sq - 1.0) * np.sqrt(u1) + ln_b - k_w * sq
-    row_e = ln_a - np.sqrt(u1)
+    row_d = (math.sqrt(math.pi / 2.0) * sq - 1.0) * t + ln_b - k_w * sq
+    row_e = ln_a - t
     margin = xi_lower_bound(lam, powers, model) - (1.0 - cfg.rho_w)
-    return u1, row_d, row_e, margin
+    return t, row_d, row_e, margin
 
 
 def outage_denominator(cfg, waypoints):
@@ -102,14 +101,13 @@ def outage_denominator(cfg, waypoints):
 
 class TestInitialPoint:
     def test_u1_construction_formula(self, cfg):
-        # u1 seeds just above ln_a^2, the smallest value row E (ln_a -
-        # sqrt(u1) at the start) accepts, and not below 2 U_FLOOR
+        # t = sqrt(u1) seeds just above ln_a, the smallest value row E
+        # (ln_a - t at the start) accepts, with no floor under it
         exp = initial_point(cfg)
         lam = lambda_of(exp.traj_tilde.waypoints, cfg.willie_est, cfg.var_willie)
-        u1, _, row_e, _ = start_rows(cfg, exp.p_tilde.powers, lam)
-        assert np.array_equal(exp.u1_tilde, u1)
+        t, _, row_e, _ = start_rows(cfg, exp.p_tilde.powers, lam)
+        assert np.array_equal(exp.t_tilde, t)
         assert np.all(row_e < 0.0)
-        assert np.all(exp.u1_tilde >= 2.0 * U_FLOOR)
 
     def test_assembled_residuals_nonpositive(self, small_cfg):
         sub = assemble_subproblem(initial_point(small_cfg), small_cfg)
@@ -311,6 +309,70 @@ class TestScaLoop:
         assert np.allclose(clone.trajectory.waypoints, plan.trajectory.waypoints)
 
 
+# Scenarios that a floor under u1 or a clip of the start's powers broke: a
+# u1 floor of 2e-10 at the start pushed row D over its whole budget in every
+# slot of the first (a false "covertness caps slot 0's power at 0 W"); clipping
+# a strictly interior power up to twice the power floor (the second) or down
+# to just under the peak cap (the third) broke the next restriction's start,
+# and both schemes stopped with expansion_rejected after one or two solves
+FLOOR_AND_CLIP_CASES = {
+    "floored_u1": dict(
+        flight_period_T=19.0, q_init=(75.4, 20.3), q_final=(79.5, 3.9),
+        bob_est=(38.4, 18.6), willie_est=(67.1, 117.1), var_bob=0.073, var_willie=46.0,
+        gamma0=2.2e9, p_avg_max=3e-9, p_peak_max=1.2e-9, rho_w=1.1e-4, rho_b=0.0054,
+        noise_uncertainty_rho=1.031),
+    "low_clip": dict(
+        flight_period_T=32.0, q_init=(40.5, 43.66), q_final=(61.84, -94.71),
+        bob_est=(102.98, 87.37), willie_est=(-30.71, 186.25), var_bob=2.425,
+        var_willie=346.3, gamma0=6.771e9, p_avg_max=1e-10, p_peak_max=7.082e-10,
+        rho_w=0.005013, rho_b=0.005005, noise_uncertainty_rho=1.106),
+    "peak_clip": dict(
+        flight_period_T=28.0, q_init=(-80.74, 71.29), q_final=(-134.66, 51.9),
+        bob_est=(-69.41, 107.16), willie_est=(-67.98, 13.09), var_bob=311.2,
+        var_willie=0.3559, gamma0=9.39e9, p_avg_max=1.554e-06, p_peak_max=7.716e-07,
+        rho_w=0.3042, rho_b=0.03668, noise_uncertainty_rho=1.201),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOOR_AND_CLIP_CASES))
+def test_floor_and_clip_cases_plan(case, monkeypatch):
+    cfg = baseline_config(**FLOOR_AND_CLIP_CASES[case])
+    model = DetectionModel.from_config(cfg)
+    subs = []
+    assemble = sca.assemble_subproblem
+
+    def recorded(*args, **kwargs):
+        subs.append(assemble(*args, **kwargs))
+        return subs[-1]
+
+    monkeypatch.setattr(sca, "assemble_subproblem", recorded)
+    plans = {}
+    for runner in (run_jtp, run_stp):
+        plan, trace = runner(cfg)
+        assert trace.stop_reason == "converged", (runner.__name__, trace.stop_reason)
+        assert plan.feasible
+        for exp in trace.expansion_points:
+            assert exact_feasible(exact_feasibility(
+                exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model), cfg)
+        assert np.all(np.diff(trace.objectives) >= 0.0)
+        plans[runner] = plan
+    # every start is its expansion point bit for bit, repaired nowhere
+    for sub in subs:
+        exp = sub.expansion
+        traj, powers, rates, t = sub.unpack(sub.start)
+        assert np.array_equal(traj.waypoints, exp.traj_tilde.waypoints)
+        assert np.array_equal(powers.powers, exp.p_tilde.powers)
+        assert np.array_equal(rates.rates, exp.r_tilde.rates)
+        assert np.array_equal(t, exp.t_tilde)
+    assert plans[run_jtp].actr >= plans[run_stp].actr
+    if case == "floored_u1":
+        for plan in plans.values():
+            assert plan.actr == pytest.approx(3.88e-5, rel=1e-3)
+    if case == "low_clip":
+        # eight solves in each scheme, where the clip stopped both after one
+        assert len(subs) == 16
+
+
 @pytest.mark.parametrize("runner", [run_jtp, run_stp])
 def test_solve_records_match_the_solves(small_cfg, monkeypatch, runner):
     # one scalar record per subproblem solve, carrying that solve's own counts
@@ -379,7 +441,7 @@ class TestDegenerateSingleSlot:
         q = exp.traj_tilde.waypoints[0]
         lam = float(lambda_of(q, cfg.willie_est, cfg.var_willie))
         lam_t = lam  # expansion trajectory equals the pinned waypoint
-        u1_t = float(exp.u1_tilde[0])
+        u1_t = float(exp.t_tilde[0]) ** 2
         p_t = float(exp.p_tilde.powers[0])
         c_sq = math.sqrt(math.pi / 2.0)
         k_w = math.sqrt(2.0 * math.pi) * math.log(model.rho) * cfg.rho_w
@@ -398,7 +460,7 @@ class TestDegenerateSingleSlot:
             g4v = math.log(denom) + model.beta1 * (p - p_t) / denom
             need = g4v - math.log(u2 + 1.0 + h2v)
             u1_min_d = (0.5 / (c_sq * a1)) ** 2
-            u1 = max(max(need, 0.0) ** 2, u1_min_d, 1e-10)
+            u1 = max(max(need, 0.0) ** 2, u1_min_d)
             g2v = (math.sqrt((lam_t + 1.0) * u1_t) + a1 * (u1 - u1_t))
             g3v = (math.log1p(bw * p_t / h2)
                    + bw * (p - p_t) / (h2 + bw * p_t))
@@ -551,8 +613,8 @@ class TestScenarioFuzz:
     def test_named_cause_or_feasible_plans(self, cfg):
         # either a named infeasibility, with no internal row label in it, or
         # exactly feasible plans with nondecreasing traces that rerun to the
-        # same bytes, and JTP at least STP; RuntimeWarnings are errors in
-        # this suite
+        # same bytes, no run cut short by a rejected expansion point, and JTP
+        # at least STP; RuntimeWarnings are errors in this suite
         try:
             runs = {runner: runner(cfg) for runner in (run_jtp, run_stp)}
         except InfeasibleScenarioError as exc:
@@ -566,6 +628,8 @@ class TestScenarioFuzz:
         model = DetectionModel.from_config(cfg)
         for runner, (plan, trace) in runs.items():
             assert plan.feasible
+            # a strictly interior iterate starts the next restriction as it is
+            assert trace.stop_reason != "expansion_rejected"
             for exp in trace.expansion_points:
                 assert exact_feasible(exact_feasibility(
                     exp.traj_tilde, exp.p_tilde, exp.r_tilde, cfg, model), cfg)

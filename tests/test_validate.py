@@ -14,6 +14,8 @@ from covertuav.convexify import exact_feasibility
 from covertuav.detection import (
     DetectionModel,
     false_alarm,
+    g_of,
+    g_upper,
     lambda_of,
     min_total_error,
     miss_detection,
@@ -25,12 +27,10 @@ from covertuav.validate import (
     _SHARD,
     GRID_CHECK_FRACTION,
     GRID_POINTS,
-    BoundAuditReport,
     McSettings,
     ValidationReport,
     _rng,
     _threshold_grid_excess,
-    bound_audit,
     empirical_outage,
     empirical_willie_error,
     ks_gaussian_approx,
@@ -273,18 +273,28 @@ class TestThresholdGridExcess:
 
 class TestBoundAudit:
     def test_chain_holds_on_small_grid(self, cfg):
-        rep = bound_audit(cfg, [25.0, 400.0, 1600.0], [0.0, 1e-5, 1e-3, 0.1])
-        assert isinstance(rep, BoundAuditReport)
-        assert rep.passed, rep.violations
-        for row in rep.rows:
-            assert row.ordered
-            assert row.xi_bar >= row.xi_check - 1e-9
+        # quadrature E[g] <= the mean/MAD two-point bound <= g_upper, the
+        # simplified bound the planner enforces, so xi_bar >= xi_check
+        model = DetectionModel.from_config(cfg)
+        for lam in (25.0, 400.0, 1600.0):
+            mu = lam + 2.0
+            theta = 2.0 * math.sqrt(2.0 / math.pi) * math.sqrt(lam + 1.0)
+            for p in (0.0, 1e-5, 1e-3, 0.1):
+                mean_g = mean_g_quadrature(lam, p, model)
+                # the two-point bound, with g's limit at infinity 0
+                g_mu, g_0 = float(g_of(mu, p, model)), float(g_of(0.0, p, model))
+                two_point = g_mu + 0.5 * theta * (g_0 - g_mu) / mu
+                final = float(g_upper(lam, p, model))
+                tol = 1e-9 * max(1.0, abs(final))
+                assert mean_g <= two_point + tol and two_point <= final + tol, (lam, p)
+                assert (xi_bar_quadrature(lam, p, model)
+                        >= xi_lower_bound(lam, p, model) - 1e-9), (lam, p)
 
     def test_zero_power_row_degenerate(self, cfg):
-        rep = bound_audit(cfg, [100.0], [0.0])
-        row = rep.rows[0]
-        assert row.mean_g == 0.0
-        assert row.xi_bar == 1.0 and row.xi_check == 1.0
+        model = DetectionModel.from_config(cfg)
+        assert mean_g_quadrature(100.0, 0.0, model) == 0.0
+        assert xi_bar_quadrature(100.0, 0.0, model) == 1.0
+        assert xi_lower_bound(100.0, 0.0, model) == 1.0
 
     def test_simplification_step_identity(self):
         # sqrt(l+1)/(l+2) <= 1/sqrt(l+1) for all l >= 0
